@@ -23,7 +23,6 @@ from .arith import (
 from .criterion import (
     MODE_TWO_OF_THREE,
     MODE_TWO_PQ,
-    PairStats,
     WitnessReport,
     batch_survey,
     count_S,
@@ -80,7 +79,6 @@ __all__ = [
     "unit_set",
     "MODE_TWO_OF_THREE",
     "MODE_TWO_PQ",
-    "PairStats",
     "WitnessReport",
     "batch_survey",
     "count_S",

@@ -155,13 +155,14 @@ def _cmd_survey(args) -> CommandOutcome:
     )
     if args.deep_audit:
         records = _audited(records)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            write_csv(records, handle)
-        return CommandOutcome(0, "")
+    # build the whole CSV first: a failing survey must not truncate --out
     buffer = io.StringIO()
     write_csv(records, buffer)
-    return CommandOutcome(0, buffer.getvalue())
+    if not args.out:
+        return CommandOutcome(0, buffer.getvalue())
+    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        handle.write(buffer.getvalue())
+    return CommandOutcome(0, "")
 
 
 def _cmd_verify(args) -> CommandOutcome:

@@ -1,12 +1,12 @@
 """The usable-unit obstruction: modular inequalities, the count S(p, q),
-witness search in two modes, and a bit-vector batch sweep over all window
+witness search in two modes, and a columnar bit-row sweep over all window
 pairs of one denominator."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,12 +34,6 @@ class WitnessReport:
     ruled_out: bool
     witness: int | None
     inequalities_held: tuple[str, ...]
-    s_count: int
-
-
-class PairStats(NamedTuple):
-    ruled_two_pq: bool
-    ruled_two_of_three: bool
     s_count: int
 
 
@@ -106,54 +100,62 @@ def find_witness(p: int, q: int, n: int, mode: str = MODE_TWO_PQ) -> WitnessRepo
         witness = a
         held = tuple(tag for tag, flag in (("p", hp), ("q", hq), ("r", hr)) if flag)
         break
-    triangle = TriangleParams(p, q, r, n, True)
+    triangle = TriangleParams(p, q, r, n)
     return WitnessReport(
         triangle, mode, witness is not None, witness, held, count_S(p, q, n)
     )
 
 
-def _column_masks(n: int) -> tuple[list[int], int]:
-    """For each x in [1, n), a bitmask over unit values a (bit position a,
-    dense over [0, n), masked by unit membership) with [a*x]_n < [2*x]_n.
-    Also returns the mask of usable units."""
+def _word_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row x (1 <= x < n) of an n x ceil(n/64) uint64 array has bit a set
+    iff a is a unit mod n with [a*x]_n < [2*x]_n; row 0 is empty. Also
+    returns the row of usable units. Only ANDs, ORs and popcounts read the
+    rows, so the byte order inside a word does not matter."""
     units = unit_set(n)
     u = np.asarray(units.members, dtype=np.int64)
-    cols = [0] * n
-    block = max(1, (1 << 21) // max(1, u.size))
+    width = 64 * -(-n // 64)
+    rows = np.zeros((n, width // 64), dtype=np.uint64)
+    block = max(1, (1 << 21) // width)  # about 2**21 dense cells per block
     for lo in range(1, n, block):
         xs = np.arange(lo, min(lo + block, n), dtype=np.int64)
-        hits = (xs[:, None] * u[None, :]) % n < ((2 * xs) % n)[:, None]
-        dense = np.zeros((xs.size, n), dtype=bool)
-        dense[:, u] = hits
+        dense = np.zeros((xs.size, width), dtype=bool)
+        dense[:, u] = (xs[:, None] * u[None, :]) % n < ((2 * xs) % n)[:, None]
         packed = np.packbits(dense, axis=1, bitorder="little")
-        for row, x in enumerate(xs):
-            cols[x] = int.from_bytes(packed[row].tobytes(), "little")
-    usable_bits = 0
-    for a in units.usable:
-        usable_bits |= 1 << a
-    return cols, usable_bits
+        rows[lo : lo + xs.size] = packed.view(np.uint64)
+    usable = np.zeros(width, dtype=bool)
+    usable[list(units.usable)] = True
+    return rows, np.packbits(usable, bitorder="little").view(np.uint64)
 
 
-def sweep_window(n: int, eta=0) -> dict[tuple[int, int], PairStats]:
+def sweep_window(n: int, eta=0) -> np.ndarray:
     """Verdicts for both modes plus S(p, q), for every window pair of n.
 
-    Unit-major: the per-x bit-vectors are built once, then each pair costs
-    a few word-wise ANDs and popcounts on the unit axis instead of a loop
-    over units. Keyed (p, q) in lexicographic order.
+    Returns a numpy structured array with fields p, q, s_count,
+    ruled_two_pq and ruled_two_of_three, one row per pair of
+    hard_window_pairs(n, eta) in its lexicographic order. Unit-major: the
+    per-x bit rows are built once, then each pair costs a few word-wise
+    ANDs, ORs and popcounts instead of a loop over units.
     """
     if n < 5:
         raise ValueError(f"sweep_window needs n >= 5, got {n}")
-    cols, usable_bits = _column_masks(n)
-    table: dict[tuple[int, int], PairStats] = {}
-    for p, q in hard_window_pairs(n, eta):
-        both = cols[p] & cols[q]
-        s_count = both.bit_count()
-        if both & usable_bits:
-            two_pq = two_of_three = True
-        else:
-            two_pq = False
-            two_of_three = bool((cols[p] | cols[q]) & cols[n - p - q] & usable_bits)
-        table[p, q] = PairStats(two_pq, two_of_three, s_count)
+    pairs = chain.from_iterable(hard_window_pairs(n, eta))
+    pairs = np.fromiter(pairs, dtype=np.int64).reshape(-1, 2)
+    rows, usable = _word_rows(n)
+    columns = [("p", "i8"), ("q", "i8"), ("s_count", "i8")]
+    columns += [("ruled_two_pq", "?"), ("ruled_two_of_three", "?")]
+    table = np.zeros(len(pairs), dtype=columns)
+    table["p"], table["q"] = pairs.T
+    chunk = max(1, (1 << 16) // rows.shape[1])  # about 2**16 words per operand
+    for lo in range(0, len(table), chunk):
+        part = table[lo : lo + chunk]
+        p, q = part["p"], part["q"]
+        row_p, row_q, row_r = rows[p], rows[q], rows[n - p - q]
+        both = row_p & row_q
+        # bitwise majority: the units meeting at least two of the three
+        two_of_three = both | (row_p | row_q) & row_r
+        part["s_count"] = np.bitwise_count(both).sum(axis=1)
+        part["ruled_two_pq"] = (both & usable).any(axis=1)
+        part["ruled_two_of_three"] = (two_of_three & usable).any(axis=1)
     return table
 
 
@@ -169,6 +171,6 @@ def batch_survey(
     """
     _check_mode(mode)
     table = sweep_window(n)
-    if mode == MODE_TWO_PQ:
-        return {pq: (st.ruled_two_pq, st.s_count >= 5) for pq, st in table.items()}
-    return {pq: (st.ruled_two_of_three, st.s_count >= 5) for pq, st in table.items()}
+    ruled = table["ruled_two_pq" if mode == MODE_TWO_PQ else "ruled_two_of_three"]
+    pairs = zip(table["p"].tolist(), table["q"].tolist())
+    return dict(zip(pairs, zip(ruled.tolist(), (table["s_count"] >= 5).tolist())))

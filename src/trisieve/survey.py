@@ -9,6 +9,7 @@ tabulated and plotted downstream.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -16,7 +17,7 @@ from math import log
 from typing import Iterable, Iterator, TextIO
 
 from .arith import factor_profile, is_prime
-from .criterion import MODE_TWO_OF_THREE, _check_mode, sweep_window
+from .criterion import sweep_window
 from .fourier import exceptional_set
 
 CSV_HEADER = (
@@ -60,26 +61,23 @@ def omega_plus_member(n: int) -> bool | None:
     return factor_profile(n).largest_prime >= n ** (1.0 / log(log(n)))
 
 
-def in_region_C(n: int, p: int, q: int) -> bool:
+def in_region_C(n: int, p, q):
     """Whether (2p-1)(2q-1) <= n**(2 - 1/(2 log log n)), the region where
     the main term is too small to dominate. Exact integer left side
-    against a double-precision right side; rejects n < 16."""
+    against a double-precision right side; rejects n < 16. On int64 arrays
+    p, q it is elementwise and as exact: the products stay below (2n)**2."""
     if n < 16:
         raise ValueError(f"in_region_C needs n >= 16, got {n}")
     return (2 * p - 1) * (2 * q - 1) <= n ** (2.0 - 1.0 / (2.0 * log(log(n))))
 
 
 def survey_n(
-    n: int,
-    mode: str = MODE_TWO_OF_THREE,
-    eta=0,
-    deep_audit: bool = False,
-    R: float | None = None,
+    n: int, eta=0, deep_audit: bool = False, R: float | None = None
 ) -> SurveyRecord:
-    """Aggregate the batch sweep of one denominator into a SurveyRecord.
+    """Aggregate the columns of sweep_window(n, eta) into a SurveyRecord
+    of Python ints and floats.
 
-    Both criterion modes are always tallied (mode is validated and kept
-    for interface symmetry with batch_survey). With deep_audit=True the
+    Both criterion modes are always tallied. With deep_audit=True the
     exceptional residue classes are computed per q and the size of the
     excluded pair region rides along as e_n; R defaults to ceil(log n).
     For n < 16 the region-C count is reported as 0 (the defining formula
@@ -87,36 +85,24 @@ def survey_n(
     """
     if n < 5:
         raise ValueError(f"survey_n needs n >= 5, got {n}")
-    _check_mode(mode)
     table = sweep_window(n, eta)
+    p, q = table["p"], table["q"]
     p_plus = factor_profile(n).largest_prime
-    use_region = n >= 16
-    ruled_pq = ruled_23 = s_ge5 = in_c = q_div = 0
-    for (p, q), st in table.items():
-        if st.ruled_two_pq:
-            ruled_pq += 1
-        if st.ruled_two_of_three:
-            ruled_23 += 1
-        if st.s_count >= 5:
-            s_ge5 += 1
-        if use_region and in_region_C(n, p, q):
-            in_c += 1
-        if q % p_plus == 0:
-            q_div += 1
     h_size = len(table)
-    frac = ruled_23 / h_size if h_size else 0.0
-    e_n = _deep_audit_count(n, table.keys(), R) if deep_audit else None
+    ruled_23 = int(table["ruled_two_of_three"].sum())
+    in_c = int(in_region_C(n, p, q).sum()) if n >= 16 else 0
+    e_n = _deep_audit_count(n, zip(p.tolist(), q.tolist()), R) if deep_audit else None
     return SurveyRecord(
         n,
         p_plus,
         omega_plus_member(n),
         h_size,
-        ruled_pq,
+        int(table["ruled_two_pq"].sum()),
         ruled_23,
-        s_ge5,
+        int((table["s_count"] >= 5).sum()),
         in_c,
-        q_div,
-        frac,
+        int((q % p_plus == 0).sum()),
+        ruled_23 / h_size if h_size else 0.0,
         e_n,
     )
 
@@ -160,7 +146,6 @@ def survey_range(
     n_min: int,
     n_max: int,
     filter: str = "all",
-    mode: str = MODE_TWO_OF_THREE,
     eta=0,
     deep_audit: bool = False,
     R: float | None = None,
@@ -171,19 +156,23 @@ def survey_range(
     filter "all" admits every n, "primes" the primes, "omega_plus" the
     denominators whose largest prime factor clears the n**(1/log log n)
     threshold. With workers > 1 the denominators are distributed across
-    processes; the output order and content do not depend on workers.
+    at most min(workers, number of denominators, CPU count) processes; the
+    output order and content do not depend on workers.
     """
     if not 5 <= n_min <= n_max:
         raise ValueError(f"need 5 <= n_min <= n_max, got [{n_min}, {n_max}]")
     if filter not in FILTERS:
         raise ValueError(f"filter must be one of {FILTERS}, got {filter!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     ns = [n for n in range(n_min, n_max + 1) if _admits(filter, n)]
-    job = partial(survey_n, mode=mode, eta=eta, deep_audit=deep_audit, R=R)
-    if workers <= 1:
+    job = partial(survey_n, eta=eta, deep_audit=deep_audit, R=R)
+    pool_size = min(workers, len(ns), os.cpu_count() or 1)
+    if pool_size <= 1:
         for n in ns:
             yield job(n)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             yield from pool.map(job, ns)
 
 

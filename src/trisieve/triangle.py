@@ -23,7 +23,6 @@ class TriangleParams:
     q: int
     r: int
     n: int
-    in_lowest_terms: bool
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ def normalize(p: int, q: int, r: int) -> TriangleParams:
         raise ValueError(f"angle numerators must be positive, got {(p, q, r)}")
     g = gcd(p, q, r)
     p, q, r = p // g, q // g, r // g
-    return TriangleParams(p, q, r, p + q + r, True)
+    return TriangleParams(p, q, r, p + q + r)
 
 
 def _as_eta(eta) -> Fraction:
@@ -63,23 +62,21 @@ def hard_window_pairs(n: int, eta: Fraction | str | int = 0) -> list[tuple[int, 
     """All pairs (p, q) with p, q >= 1, p + q < n/2, gcd(p, q, n) = 1,
     ordered lexicographically.
 
-    A positive eta further demands min(p, q) > eta * n; the cut is
-    evaluated as min(p, q) * den > num * n in integers, so there is no
-    boundary drift. For n in {3, 4} the list is naturally empty.
+    A positive eta = num/den further demands min(p, q) > eta * n; both
+    loops start at the exact integer bound num * n // den + 1, so there is
+    no boundary drift. For n in {3, 4} the list is naturally empty.
     """
     if n < 3:
         raise ValueError(f"hard_window_pairs needs n >= 3, got {n}")
     cut = _as_eta(eta)
-    num, den = cut.numerator, cut.denominator
+    lo = cut.numerator * n // cut.denominator + 1
     pairs: list[tuple[int, int]] = []
-    for p in range(1, (n - 1) // 2 + 1):
+    for p in range(lo, (n - 1) // 2 + 1):
         q_max = (n - 2 * p - 1) // 2
-        if q_max < 1:
+        if q_max < lo:
             break
-        for q in range(1, q_max + 1):
-            if gcd(p, q, n) != 1:
-                continue
-            if min(p, q) * den > num * n:
+        for q in range(lo, q_max + 1):
+            if gcd(p, q, n) == 1:
                 pairs.append((p, q))
     return pairs
 

@@ -172,10 +172,12 @@ def test_criterion_10_s_count_invariants():
     for n in range(5, 301):
         phi = factor_profile(n).totient
         table = sweep_window(n)
-        for (p, q), st in table.items():
-            assert st.s_count >= 1, (n, p, q)
-            assert st.s_count <= phi, (n, p, q)
-            assert st.s_count == table[(q, p)].s_count, (n, p, q)
+        pairs = zip(table["p"].tolist(), table["q"].tolist())
+        s_count = dict(zip(pairs, table["s_count"].tolist()))
+        for (p, q), s in s_count.items():
+            assert s >= 1, (n, p, q)
+            assert s <= phi, (n, p, q)
+            assert s == s_count[(q, p)], (n, p, q)
             pairs_seen += 1
     print(f"PASS criterion 10: S floor/symmetry/ceiling over {pairs_seen} pairs, n <= 300")
 

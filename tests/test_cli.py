@@ -99,6 +99,22 @@ class TestSurveyCommand:
         cli.run(["survey", "--min", "5", "--max", "60", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_failed_survey_keeps_out_file(self, tmp_path, capsys):
+        out = tmp_path / "keep.csv"
+        out.write_text("earlier results\n", encoding="utf-8")
+        for bad in (["--min", "30", "--max", "10"], ["--min", "5", "--max", "9", "--eta", "1/5"]):
+            outcome = cli.run(["survey", *bad, "--out", str(out)])
+            assert outcome.exit_code == 1
+            assert out.read_text(encoding="utf-8") == "earlier results\n"
+        capsys.readouterr()
+
+    def test_threads_below_one_exit_one(self, capsys):
+        for threads in ("0", "-3"):
+            outcome = cli.run(["--threads", threads, "survey", "--min", "5", "--max", "10"])
+            assert outcome.exit_code == 1
+            assert outcome.stdout_payload == ""
+            assert "workers must be at least 1" in capsys.readouterr().err
+
     def test_threads_do_not_change_output(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -170,22 +170,23 @@ class TestBatchSurvey:
 
     def test_sweep_s_counts(self):
         for n in (12, 23, 40):
-            for (p, q), st_ in sweep_window(n).items():
-                assert st_.s_count == count_S(p, q, n)
+            table = sweep_window(n)
+            columns = (table["p"], table["q"], table["s_count"])
+            for p, q, s in zip(*(column.tolist() for column in columns)):
+                assert s == count_S(p, q, n)
 
     def test_s_ge5_implies_ruled_two_pq(self):
         # at most two units are non-usable, so five hits leave a usable one
         for n in (23, 36, 61, 90):
-            for st_ in sweep_window(n).values():
-                if st_.s_count >= 5:
-                    assert st_.ruled_two_pq
+            table = sweep_window(n)
+            assert table["ruled_two_pq"][table["s_count"] >= 5].all()
 
     @given(st.integers(5, 150))
     @settings(max_examples=25, deadline=None)
     def test_sweep_matches_brute_on_sampled_n(self, n):
         table = sweep_window(n)
         pairs = hard_window_pairs(n)
-        assert sorted(table) == pairs
+        assert list(zip(table["p"].tolist(), table["q"].tolist())) == pairs
         if pairs:
             p, q = pairs[len(pairs) // 2]
-            assert table[(p, q)].s_count == brute_count(p, q, n)
+            assert table["s_count"][len(pairs) // 2] == brute_count(p, q, n)

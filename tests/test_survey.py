@@ -3,10 +3,12 @@
 import io
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from trisieve import survey
 from trisieve.arith import factor_profile, is_prime
-from trisieve.criterion import MODE_TWO_OF_THREE, MODE_TWO_PQ, sweep_window
+from trisieve.criterion import sweep_window
 from trisieve.survey import (
     CSV_HEADER,
     in_region_C,
@@ -17,6 +19,12 @@ from trisieve.survey import (
     write_csv,
 )
 from trisieve.triangle import FAMILY_NONE, classify, normalize
+
+
+def row_of(table, p, q):
+    """The one row of a sweep_window table that holds the pair (p, q)."""
+    (index,) = np.flatnonzero((table["p"] == p) & (table["q"] == q))
+    return table[index]
 
 
 class TestOmegaPlus:
@@ -57,7 +65,7 @@ class TestSurveyN:
         rec = survey_n(23)
         assert rec.h_size == 55
         assert rec.ruled_two_pq >= 1
-        assert sweep_window(23)[(5, 6)].ruled_two_pq
+        assert row_of(sweep_window(23), 5, 6)["ruled_two_pq"]
         assert rec.p_plus == 23
         assert rec.frac_ruled == pytest.approx(rec.ruled_two_of_three / 55)
 
@@ -73,8 +81,8 @@ class TestSurveyN:
         rec = survey_n(12)
         assert rec.h_size == 9
         table = sweep_window(12)
-        assert not table[(1, 4)].ruled_two_of_three
-        assert not table[(4, 1)].ruled_two_of_three
+        assert not row_of(table, 1, 4)["ruled_two_of_three"]
+        assert not row_of(table, 4, 1)["ruled_two_of_three"]
 
     def test_mode_monotone_counts(self):
         for n in (12, 23, 61, 90):
@@ -90,10 +98,11 @@ class TestSurveyN:
 
     def test_no_family_member_ruled(self):
         for n in range(5, 121):
-            for (p, q), st in sweep_window(n).items():
-                if st.ruled_two_of_three:
-                    label = classify(normalize(p, q, n - p - q)).family
-                    assert label == FAMILY_NONE
+            table = sweep_window(n)
+            ruled = table[table["ruled_two_of_three"]]
+            for p, q in zip(ruled["p"].tolist(), ruled["q"].tolist()):
+                label = classify(normalize(p, q, n - p - q)).family
+                assert label == FAMILY_NONE
 
     def test_deep_audit(self):
         rec = survey_n(60, deep_audit=True)
@@ -104,8 +113,6 @@ class TestSurveyN:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             survey_n(4)
-        with pytest.raises(ValueError):
-            survey_n(23, mode="bogus")
 
 
 class TestSurveyRange:
@@ -133,6 +140,31 @@ class TestSurveyRange:
         again = list(survey_range(5, 45))
         parallel = list(survey_range(5, 45, workers=3))
         assert serial == again == parallel
+
+    def test_pool_never_exceeds_denominators_or_cpus(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(survey, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: 8)
+        assert [r.n for r in survey_range(5, 7, workers=64)] == [5, 6, 7]
+        assert [r.n for r in survey_range(5, 40, workers=64)] == list(range(5, 41))
+        assert [r.n for r in survey_range(5, 40, workers=2)] == list(range(5, 41))
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: None)
+        assert len(list(survey_range(5, 40, workers=64))) == 36  # serial, no pool
+        assert sizes == [3, 8, 2]
 
     def test_eta_threads_through(self):
         plain = list(survey_range(30, 40, eta=0))

@@ -33,7 +33,6 @@ class TestNormalize:
     def test_examples(self):
         t = normalize(2, 2, 6)
         assert (t.p, t.q, t.r, t.n) == (1, 1, 3, 5)
-        assert t.in_lowest_terms
         t = normalize(1, 4, 7)
         assert (t.p, t.q, t.r, t.n) == (1, 4, 7, 12)
         t = normalize(3, 3, 3)
@@ -90,6 +89,20 @@ class TestHardWindowPairs:
         n = 60
         cut = hard_window_pairs(n, Fraction(1, n))
         assert cut == [(p, q) for (p, q) in hard_window_pairs(n) if min(p, q) >= 2]
+        # eta * n an integer (70/7, 48/24, 80 * 13/80, 100/10) or not, against
+        # the brute filter min(p, q) > eta * n over the uncut window
+        for n, eta in (
+            (70, Fraction(1, 7)),
+            (71, Fraction(1, 7)),
+            (48, Fraction(1, 24)),
+            (80, Fraction(13, 80)),
+            (81, Fraction(13, 80)),
+            (100, Fraction(1, 10)),
+            (101, Fraction(3, 19)),
+            (9, Fraction(1, 7)),
+        ):
+            expected = [(p, q) for (p, q) in brute_window(n) if min(p, q) > eta * n]
+            assert hard_window_pairs(n, eta) == expected, (n, eta)
 
     def test_eta_monotone(self):
         for n in (17, 36, 61, 100):
