@@ -14,7 +14,6 @@ from .arith import (
     divisors,
     factor_profile,
     is_prime,
-    p_adic_valuation,
     ramanujan,
     ramanujan_divisor_sum,
     ramanujan_oracle,
@@ -24,7 +23,6 @@ from .criterion import (
     MODE_TWO_OF_THREE,
     MODE_TWO_PQ,
     WitnessReport,
-    batch_survey,
     count_S,
     find_witness,
     ineq_holds,
@@ -34,7 +32,6 @@ from .fourier import (
     BoundCheck,
     ExceptionalSet,
     SpectralDecomposition,
-    crude_bound_check,
     exceptional_set,
     interval_hat,
     main_term,
@@ -65,51 +62,3 @@ from .triangle import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "FactorProfile",
-    "UnitSet",
-    "divisors",
-    "factor_profile",
-    "is_prime",
-    "p_adic_valuation",
-    "ramanujan",
-    "ramanujan_divisor_sum",
-    "ramanujan_oracle",
-    "unit_set",
-    "MODE_TWO_OF_THREE",
-    "MODE_TWO_PQ",
-    "WitnessReport",
-    "batch_survey",
-    "count_S",
-    "find_witness",
-    "ineq_holds",
-    "sweep_window",
-    "BoundCheck",
-    "ExceptionalSet",
-    "SpectralDecomposition",
-    "crude_bound_check",
-    "exceptional_set",
-    "interval_hat",
-    "main_term",
-    "sigma_residue",
-    "spectral_S",
-    "verify_error_bound",
-    "CSV_HEADER",
-    "SurveyRecord",
-    "in_region_C",
-    "omega_plus_member",
-    "record_row",
-    "survey_n",
-    "survey_range",
-    "write_csv",
-    "FAMILY_HOOPER",
-    "FAMILY_NONE",
-    "FAMILY_ONE",
-    "FAMILY_TWO",
-    "TriangleClass",
-    "TriangleParams",
-    "classify",
-    "hard_window_pairs",
-    "normalize",
-]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, inf, pi
+from math import gcd, pi
 
 
 def is_prime(n: int) -> bool:
@@ -84,29 +84,12 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
-def p_adic_valuation(t: int, p: int) -> int | float:
-    """Largest e with p**e | t. By convention v_p(0) is the infinite
-    sentinel ``math.inf``, never a large stand-in integer, so comparisons
-    against exponents stay exact."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if t == 0:
-        return inf
-    t = abs(t)
-    v = 0
-    while t % p == 0:
-        t //= p
-        v += 1
-    return v
-
-
 @dataclass(frozen=True)
 class UnitSet:
     """Reduced residue system mod n, and the usable units: those a with
     2a != 2 (mod n). For odd n > 1 only a = 1 is non-usable; for even n
     the residue 1 + n/2 may also drop out."""
 
-    modulus: int
     members: tuple[int, ...]
     usable: tuple[int, ...]
 
@@ -117,7 +100,7 @@ def unit_set(n: int) -> UnitSet:
         raise ValueError(f"unit_set needs n >= 1, got {n}")
     members = tuple(a for a in range(1, n + 1) if gcd(a, n) == 1)
     usable = tuple(a for a in members if (2 * a - 2) % n != 0)
-    return UnitSet(n, members, usable)
+    return UnitSet(members, usable)
 
 
 def ramanujan(n: int, t: int) -> int:

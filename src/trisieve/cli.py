@@ -25,6 +25,10 @@ class CommandOutcome:
     stdout_payload: str
 
 
+# the largest n a verify suite checks when --max-n is absent
+_MAX_N_DEFAULT = {"ramanujan": 200, "fourier-bounds": 500, "regression-families": 60}
+
+
 class _UsageError(Exception):
     pass
 
@@ -166,10 +170,11 @@ def _cmd_survey(args) -> CommandOutcome:
 
 
 def _cmd_verify(args) -> CommandOutcome:
+    max_n = _MAX_N_DEFAULT.get(args.suite) if args.max_n is None else args.max_n
     if args.suite == "ramanujan":
-        ok, message = suites.ramanujan_suite(args.max_n or 200)
+        ok, message = suites.ramanujan_suite(max_n)
     elif args.suite == "fourier-bounds":
-        ok, message = suites.fourier_bounds_suite(args.max_n or 500)
+        ok, message = suites.fourier_bounds_suite(max_n)
     elif args.suite == "spectral":
         ok, message = suites.spectral_suite()
     elif args.suite == "error-bound":
@@ -178,7 +183,7 @@ def _cmd_verify(args) -> CommandOutcome:
             return CommandOutcome(1, "")
         ok, message = suites.error_bound_suite(args.n, args.q, args.r)
     else:
-        ok, message = suites.regression_families_suite(args.max_n or 60)
+        ok, message = suites.regression_families_suite(max_n)
     return CommandOutcome(0 if ok else 2, message + "\n")
 
 

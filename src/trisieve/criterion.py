@@ -15,12 +15,6 @@ from .triangle import TriangleParams, hard_window_pairs
 
 MODE_TWO_PQ = "two_pq"
 MODE_TWO_OF_THREE = "two_of_three"
-MODES = (MODE_TWO_PQ, MODE_TWO_OF_THREE)
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -30,7 +24,6 @@ class WitnessReport:
     inequalities that unit satisfies."""
 
     triangle: TriangleParams
-    mode: str
     ruled_out: bool
     witness: int | None
     inequalities_held: tuple[str, ...]
@@ -74,7 +67,8 @@ def find_witness(p: int, q: int, n: int, mode: str = MODE_TWO_PQ) -> WitnessRepo
     mode "two_pq" demands the p- and q-inequalities; "two_of_three"
     accepts any two of the p/q/r inequalities.
     """
-    _check_mode(mode)
+    if mode not in (MODE_TWO_PQ, MODE_TWO_OF_THREE):
+        raise ValueError(f"mode must be two_pq or two_of_three, got {mode!r}")
     if p < 1 or q < 1:
         raise ValueError(f"p and q must be positive, got {(p, q)}")
     if 2 * (p + q) >= n:
@@ -101,9 +95,7 @@ def find_witness(p: int, q: int, n: int, mode: str = MODE_TWO_PQ) -> WitnessRepo
         held = tuple(tag for tag, flag in (("p", hp), ("q", hq), ("r", hr)) if flag)
         break
     triangle = TriangleParams(p, q, r, n)
-    return WitnessReport(
-        triangle, mode, witness is not None, witness, held, count_S(p, q, n)
-    )
+    return WitnessReport(triangle, witness is not None, witness, held, count_S(p, q, n))
 
 
 def _word_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,19 +150,3 @@ def sweep_window(n: int, eta=0) -> np.ndarray:
         part["ruled_two_of_three"] = (two_of_three & usable).any(axis=1)
     return table
 
-
-def batch_survey(
-    n: int, mode: str = MODE_TWO_PQ
-) -> dict[tuple[int, int], tuple[bool, bool]]:
-    """Map each window pair (p, q) of n to (ruled_out, S >= 5).
-
-    Pointwise identical to find_witness + count_S; the sweep just
-    amortizes the unit loop across all pairs. The S >= 5 flag is surfaced
-    because that margin guarantees a usable witness even after discarding
-    the at most two non-usable units.
-    """
-    _check_mode(mode)
-    table = sweep_window(n)
-    ruled = table["ruled_two_pq" if mode == MODE_TWO_PQ else "ruled_two_of_three"]
-    pairs = zip(table["p"].tolist(), table["q"].tolist())
-    return dict(zip(pairs, zip(ruled.tolist(), (table["s_count"] >= 5).tolist())))

@@ -16,13 +16,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, log, pi
+from math import gcd, inf, log, pi
 
 import numpy as np
 
 from .arith import factor_profile, ramanujan, unit_set
 from .criterion import count_S
-from .triangle import hard_window_pairs
 
 
 @dataclass(frozen=True)
@@ -46,14 +45,13 @@ class BoundCheck:
     """Outcome of sweeping one inequality over its test range: how many
     cases ran, the worst left/right ratio, and where it occurred."""
 
-    description: str
     checked: int
     max_ratio: float
     passed: bool
-    worst: tuple | None = None
+    worst: tuple | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExceptionalSet:
     """Residue classes mod d = P**alpha (P the largest prime factor of n,
     alpha its exponent) that p must avoid for the refined error bound.
@@ -64,9 +62,6 @@ class ExceptionalSet:
     7 R (1 + log n)^2 / d. Markov's inequality caps members at phi(d)/R.
     """
 
-    n: int
-    q: int
-    R: float
     d: int
     members: frozenset[int]
     s_values: dict[int, float]
@@ -145,13 +140,13 @@ def exceptional_set(n: int, q: int, R: float) -> ExceptionalSet:
     average-level threshold.
 
     The weight is w(k) = 1/(2 min(k, n-k)); the per-class mass uses the
-    interval of width 2q-1. Requires gcd(q, P) = 1. Ties at the threshold
-    stay out of the set (strict inequality).
+    interval of width 2q-1. Requires gcd(q, P) = 1 and 2 <= R < inf.
+    Ties at the threshold stay out of the set (strict inequality).
     """
     if n < 2:
         raise ValueError(f"exceptional_set needs n >= 2, got {n}")
-    if R < 2:
-        raise ValueError(f"R must be >= 2, got {R}")
+    if not 2 <= R < inf:
+        raise ValueError(f"R must satisfy 2 <= R < inf, got {R}")
     prof = factor_profile(n)
     P = prof.largest_prime
     if q % P == 0:
@@ -171,7 +166,7 @@ def exceptional_set(n: int, q: int, R: float) -> ExceptionalSet:
         s_values[u] = s_u
         if s_u > threshold:
             members.add((-q * u) % d)
-    return ExceptionalSet(n, q, R, d, frozenset(members), s_values)
+    return ExceptionalSet(d, frozenset(members), s_values)
 
 
 def verify_error_bound(n: int, q: int, R: float) -> BoundCheck:
@@ -198,32 +193,5 @@ def verify_error_bound(n: int, q: int, R: float) -> BoundCheck:
         if ratio > max_ratio:
             max_ratio = ratio
             worst = (p, q)
-    return BoundCheck(
-        f"refined error bound at n={n}, q={q}, R={R}",
-        checked,
-        max_ratio,
-        max_ratio <= 1.0,
-        worst,
-    )
+    return BoundCheck(checked, max_ratio, max_ratio <= 1.0, worst)
 
-
-def crude_bound_check(n: int) -> BoundCheck:
-    """Check the global bound |S - M| <= phi(n) (1 + log n)^2 over every
-    window pair of n. This baseline needs no hypothesis on the prime
-    factors of n."""
-    if n < 5:
-        raise ValueError(f"crude_bound_check needs n >= 5, got {n}")
-    bound = factor_profile(n).totient * (1.0 + log(n)) ** 2
-    checked = 0
-    max_ratio = 0.0
-    worst = None
-    for p, q in hard_window_pairs(n):
-        err = count_S(p, q, n) - main_term(p, q, n)
-        ratio = abs(err) / bound
-        checked += 1
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst = (p, q)
-    return BoundCheck(
-        f"crude error bound at n={n}", checked, max_ratio, max_ratio <= 1.0, worst
-    )

@@ -38,9 +38,11 @@ from .triangle import (
 _SLACK = 1e-9
 
 
-def ramanujan_suite(max_n: int = 200) -> tuple[bool, str]:
+def ramanujan_suite(max_n: int) -> tuple[bool, str]:
     """Closed form == exponential-sum oracle == divisor identity, for all
-    n <= max_n and every residue t."""
+    n <= max_n and every residue t. Rejects max_n < 1."""
+    if max_n < 1:
+        raise ValueError(f"ramanujan suite needs max_n >= 1, got {max_n}")
     for n in range(1, max_n + 1):
         for t in range(n):
             closed = ramanujan(n, t)
@@ -58,10 +60,12 @@ def _m_grid(n: int) -> list[int]:
     return sorted({m for m in (1, n // 3, n - 1) if m >= 1})
 
 
-def fourier_bounds_suite(max_n: int = 500, residue_max_n: int = 300) -> tuple[bool, str]:
+def fourier_bounds_suite(max_n: int) -> tuple[bool, str]:
     """Coefficient decay and total-mass bounds for the interval
-    coefficients up to max_n, then the residue-class mass bounds over
-    every divisor up to residue_max_n."""
+    coefficients for 2 <= n <= max_n, then the residue-class mass bounds
+    over every divisor for n <= 300. Rejects max_n < 2."""
+    if max_n < 2:
+        raise ValueError(f"fourier-bounds suite needs max_n >= 2, got {max_n}")
     for n in range(2, max_n + 1):
         for m in _m_grid(n):
             total = 0.0
@@ -72,7 +76,7 @@ def fourier_bounds_suite(max_n: int = 500, residue_max_n: int = 300) -> tuple[bo
                     return False, f"coefficient bound fails at n={n}, m={m}, k={k}"
             if total > 1.0 + log(n) + _SLACK:
                 return False, f"mass bound fails at n={n}, m={m}: {total:.9f}"
-    for n in range(2, residue_max_n + 1):
+    for n in range(2, 301):
         for m in _m_grid(n):
             for d in divisors(n):
                 tail = (1.0 + log(n / d)) / d
@@ -89,27 +93,24 @@ def fourier_bounds_suite(max_n: int = 500, residue_max_n: int = 300) -> tuple[bo
                         )
     return True, (
         f"interval coefficient bounds hold to n = {max_n}; "
-        f"residue-class mass bounds hold to n = {residue_max_n}"
+        "residue-class mass bounds hold to n = 300"
     )
 
 
-def spectral_suite(
-    dense_ns: tuple[int, ...] = (5, 7, 12, 23, 36, 60),
-    sampled_ns: tuple[int, ...] = (101, 202),
-    sample_size: int = 50,
-) -> tuple[bool, str]:
-    """Reconstruction residual below 1e-6 for every window pair of the
-    dense moduli and a deterministic stride sample of the larger ones."""
+def spectral_suite() -> tuple[bool, str]:
+    """Reconstruction residual below 1e-6 for every window pair of n = 5,
+    7, 12, 23, 36 and 60, and for 50 pairs taken at a fixed stride for
+    n = 101 and 202."""
     checked = 0
     try:
-        for n in dense_ns:
+        for n in (5, 7, 12, 23, 36, 60):
             for p, q in hard_window_pairs(n):
                 spectral_S(p, q, n)
                 checked += 1
-        for n in sampled_ns:
+        for n in (101, 202):
             pairs = hard_window_pairs(n)
-            step = max(1, len(pairs) // sample_size)
-            for p, q in pairs[::step][:sample_size]:
+            step = max(1, len(pairs) // 50)
+            for p, q in pairs[::step][:50]:
                 spectral_S(p, q, n)
                 checked += 1
     except ArithmeticError as exc:
@@ -135,10 +136,12 @@ def error_bound_suite(n: int, q: int, R: float) -> tuple[bool, str]:
     return ok, message
 
 
-def regression_families_suite(max_n: int = 60) -> tuple[bool, str]:
+def regression_families_suite(max_n: int) -> tuple[bool, str]:
     """The known lattice families must never be ruled out in two-of-three
     mode: the {1,1,n-2} family, the obtuse {1,2,n-3} members with even
-    denominator, and the sporadic {1,4,7}/12 triangle."""
+    denominator, and the sporadic {1,4,7}/12 triangle. Rejects max_n < 5."""
+    if max_n < 5:
+        raise ValueError(f"regression-families suite needs max_n >= 5, got {max_n}")
     cases: list[tuple[int, int, int, str]] = []
     for n in range(5, max_n + 1):
         cases.append((1, 1, n, FAMILY_ONE))

@@ -8,12 +8,11 @@ tabulated and plotted downstream.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from math import log
+from math import ceil, log
 from typing import Iterable, Iterator, TextIO
 
 from .arith import factor_profile, is_prime
@@ -71,15 +70,14 @@ def in_region_C(n: int, p, q):
     return (2 * p - 1) * (2 * q - 1) <= n ** (2.0 - 1.0 / (2.0 * log(log(n))))
 
 
-def survey_n(
-    n: int, eta=0, deep_audit: bool = False, R: float | None = None
-) -> SurveyRecord:
+def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
     """Aggregate the columns of sweep_window(n, eta) into a SurveyRecord
     of Python ints and floats.
 
     Both criterion modes are always tallied. With deep_audit=True the
     exceptional residue classes are computed per q and the size of the
-    excluded pair region rides along as e_n; R defaults to ceil(log n).
+    excluded pair region rides along as e_n. The audit's R is fixed at
+    ceil(log n) and is not a parameter.
     For n < 16 the region-C count is reported as 0 (the defining formula
     has no value there, so the region is treated as empty).
     """
@@ -91,7 +89,7 @@ def survey_n(
     h_size = len(table)
     ruled_23 = int(table["ruled_two_of_three"].sum())
     in_c = int(in_region_C(n, p, q).sum()) if n >= 16 else 0
-    e_n = _deep_audit_count(n, zip(p.tolist(), q.tolist()), R) if deep_audit else None
+    e_n = _deep_audit_count(n, zip(p.tolist(), q.tolist())) if deep_audit else None
     return SurveyRecord(
         n,
         p_plus,
@@ -107,16 +105,14 @@ def survey_n(
     )
 
 
-def _deep_audit_count(
-    n: int, pairs: Iterable[tuple[int, int]], R: float | None
-) -> int:
+def _deep_audit_count(n: int, pairs: Iterable[tuple[int, int]]) -> int:
     """Size of the exceptional pair region: pairs with gcd(q, P) = 1 where
-    either P | p or p mod d lands in the exceptional classes for q."""
+    either P | p or p mod d lands in the exceptional classes for q at
+    R = ceil(log n), which is at least 2 because n >= 5."""
     prof = factor_profile(n)
     P = prof.largest_prime
     d = P ** prof.valuation(P)
-    if R is None:
-        R = max(2, math.ceil(log(n)))
+    R = ceil(log(n))
     members_cache: dict[int, frozenset[int]] = {}
     count = 0
     for p, q in pairs:
@@ -148,16 +144,16 @@ def survey_range(
     filter: str = "all",
     eta=0,
     deep_audit: bool = False,
-    R: float | None = None,
     workers: int = 1,
 ) -> Iterator[SurveyRecord]:
     """SurveyRecords for the admissible n in [n_min, n_max], ascending.
 
     filter "all" admits every n, "primes" the primes, "omega_plus" the
     denominators whose largest prime factor clears the n**(1/log log n)
-    threshold. With workers > 1 the denominators are distributed across
-    at most min(workers, number of denominators, CPU count) processes; the
-    output order and content do not depend on workers.
+    threshold. Deep audits fix R at ceil(log n), as survey_n does; it is
+    not a parameter. With workers > 1 the denominators are distributed
+    across at most min(workers, number of denominators, CPU count)
+    processes; the output order and content do not depend on workers.
     """
     if not 5 <= n_min <= n_max:
         raise ValueError(f"need 5 <= n_min <= n_max, got [{n_min}, {n_max}]")
@@ -166,7 +162,7 @@ def survey_range(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     ns = [n for n in range(n_min, n_max + 1) if _admits(filter, n)]
-    job = partial(survey_n, eta=eta, deep_audit=deep_audit, R=R)
+    job = partial(survey_n, eta=eta, deep_audit=deep_audit)
     pool_size = min(workers, len(ns), os.cpu_count() or 1)
     if pool_size <= 1:
         for n in ns:

@@ -23,7 +23,6 @@ from trisieve.arith import (
 from trisieve.criterion import (
     MODE_TWO_OF_THREE,
     MODE_TWO_PQ,
-    batch_survey,
     count_S,
     find_witness,
     ineq_holds,
@@ -184,16 +183,19 @@ def test_criterion_10_s_count_invariants():
 
 def test_criterion_11_batch_matches_pointwise():
     for n in range(5, 301):
-        batch_pq = batch_survey(n, MODE_TWO_PQ)
-        batch_23 = batch_survey(n, MODE_TWO_OF_THREE)
-        assert sorted(batch_pq) == hard_window_pairs(n)
-        for p, q in batch_pq:
+        table = sweep_window(n)
+        pairs = list(zip(table["p"].tolist(), table["q"].tolist()))
+        assert pairs == hard_window_pairs(n)
+        ruled_pq = table["ruled_two_pq"].tolist()
+        ruled_23 = table["ruled_two_of_three"].tolist()
+        s_ge5 = (table["s_count"] >= 5).tolist()
+        for i, (p, q) in enumerate(pairs):
             report_pq = find_witness(p, q, n, MODE_TWO_PQ)
             report_23 = find_witness(p, q, n, MODE_TWO_OF_THREE)
             s = report_pq.s_count
             assert s == count_S(p, q, n)
-            assert batch_pq[(p, q)] == (report_pq.ruled_out, s >= 5), (n, p, q)
-            assert batch_23[(p, q)] == (report_23.ruled_out, s >= 5), (n, p, q)
+            assert (ruled_pq[i], s_ge5[i]) == (report_pq.ruled_out, s >= 5), (n, p, q)
+            assert (ruled_23[i], s_ge5[i]) == (report_23.ruled_out, s >= 5), (n, p, q)
     print("PASS criterion 11: batch sweep equals pointwise verdicts for all n <= 300")
 
 

@@ -1,7 +1,7 @@
 """Unit tests for the exact arithmetic layer."""
 
 import cmath
-from math import gcd, inf, pi
+from math import gcd, pi
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,6 @@ from trisieve.arith import (
     divisors,
     factor_profile,
     is_prime,
-    p_adic_valuation,
     ramanujan,
     ramanujan_divisor_sum,
     ramanujan_oracle,
@@ -71,27 +70,6 @@ class TestFactorProfile:
         assert prof.valuation(2) == 3
         assert prof.valuation(3) == 2
         assert prof.valuation(7) == 0
-
-
-class TestPAdicValuation:
-    def test_examples(self):
-        assert p_adic_valuation(12, 2) == 2
-        assert p_adic_valuation(0, 3) == inf
-        assert p_adic_valuation(35, 2) == 0
-
-    def test_rejects_composite(self):
-        for bad in (0, 1, 4, 9, 12):
-            with pytest.raises(ValueError):
-                p_adic_valuation(10, bad)
-
-    def test_negative_argument(self):
-        assert p_adic_valuation(-8, 2) == 3
-
-    @given(st.integers(1, 10_000), st.sampled_from([2, 3, 5, 7, 11]))
-    def test_divides_exactly(self, t, p):
-        v = p_adic_valuation(t, p)
-        assert t % p**v == 0
-        assert t % p ** (v + 1) != 0
 
 
 class TestUnitSet:

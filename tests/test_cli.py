@@ -138,6 +138,20 @@ class TestVerifyCommand:
         outcome = cli.run(["verify", "error-bound"])
         assert outcome.exit_code == 1
         capsys.readouterr()
+        for r in ("nan", "inf"):
+            argv = ["verify", "error-bound", "--n", "101", "--q", "2", "--r", r]
+            outcome = cli.run(argv)
+            assert outcome.exit_code == 1
+            assert outcome.stdout_payload == ""
+            assert "R must satisfy" in capsys.readouterr().err
+
+    def test_max_n_below_range_exits_one(self, capsys):
+        for suite in ("ramanujan", "fourier-bounds", "regression-families"):
+            for max_n in ("0", "-5"):
+                outcome = cli.run(["verify", suite, "--max-n", max_n])
+                assert outcome.exit_code == 1
+                assert outcome.stdout_payload == ""
+                assert "max_n" in capsys.readouterr().err
 
     def test_regression_suite(self):
         outcome = cli.run(["verify", "regression-families", "--max-n", "30"])

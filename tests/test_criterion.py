@@ -10,7 +10,6 @@ from trisieve.arith import factor_profile, unit_set
 from trisieve.criterion import (
     MODE_TWO_OF_THREE,
     MODE_TWO_PQ,
-    batch_survey,
     count_S,
     find_witness,
     ineq_holds,
@@ -148,25 +147,30 @@ class TestFindWitness:
 
 class TestBatchSurvey:
     def test_examples(self):
-        table = batch_survey(23, MODE_TWO_PQ)
-        assert table[(5, 6)] == (True, False)  # S = 3 < 5
-        assert batch_survey(5, MODE_TWO_PQ) == {(1, 1): (False, False)}
-        twelve = batch_survey(12, MODE_TWO_PQ)
-        assert len(twelve) == 9
+        table = sweep_window(23)
+        row = table[(table["p"] == 5) & (table["q"] == 6)]
+        assert row["ruled_two_pq"].tolist() == [True]
+        assert row["s_count"].tolist() == [3]  # S < 5
+        five = sweep_window(5)[["p", "q", "s_count", "ruled_two_pq"]]
+        assert five.tolist() == [(1, 1, 1, False)]
+        assert len(sweep_window(12)) == 9
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            batch_survey(4)
+            sweep_window(4)
 
     def test_agrees_with_pointwise(self):
         for n in (12, 23, 36, 47):
+            table = sweep_window(n)
+            pairs = list(zip(table["p"].tolist(), table["q"].tolist()))
+            assert pairs == hard_window_pairs(n)
+            s_ge5 = (table["s_count"] >= 5).tolist()
             for mode in (MODE_TWO_PQ, MODE_TWO_OF_THREE):
-                table = batch_survey(n, mode)
-                assert sorted(table) == hard_window_pairs(n)
-                for (p, q), (ruled, s_ge5) in table.items():
+                ruled = table["ruled_" + mode].tolist()
+                for (p, q), ruled_out, ge5 in zip(pairs, ruled, s_ge5):
                     report = find_witness(p, q, n, mode)
-                    assert ruled == report.ruled_out
-                    assert s_ge5 == (report.s_count >= 5)
+                    assert ruled_out == report.ruled_out
+                    assert ge5 == (report.s_count >= 5)
 
     def test_sweep_s_counts(self):
         for n in (12, 23, 40):

@@ -9,7 +9,6 @@ import pytest
 from trisieve.arith import divisors, factor_profile
 from trisieve.criterion import count_S
 from trisieve.fourier import (
-    crude_bound_check,
     exceptional_set,
     interval_hat,
     main_term,
@@ -65,11 +64,13 @@ class TestMainTerm:
         assert main_term(5, 6, 23) == pytest.approx(2178 / 529)
 
     def test_range(self):
-        for n in (12, 23, 60):
+        for n in (5, 12, 23, 36, 60, 97):
             phi = factor_profile(n).totient
             for p, q in hard_window_pairs(n):
                 value = main_term(p, q, n)
                 assert 0 < value < phi
+                # the crude bound, which needs no hypothesis on n's factors
+                assert abs(count_S(p, q, n) - value) <= phi * (1 + log(n)) ** 2
 
 
 class TestSpectralS:
@@ -148,6 +149,9 @@ class TestExceptionalSet:
             exceptional_set(202, 101, 2.0)  # q shares the top prime
         with pytest.raises(ValueError):
             exceptional_set(202, 3, 1.5)  # R below 2
+        for R in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                exceptional_set(202, 3, R)
 
     def test_members_are_negated_multiples(self):
         n, q, R = 202, 3, 2.0
@@ -182,24 +186,3 @@ class TestErrorBoundVerification:
         ]
         assert check.checked == len(admissible)
 
-
-class TestCrudeBound:
-    def test_pair_counts(self):
-        assert crude_bound_check(23).checked == 55
-        assert crude_bound_check(12).checked == 9
-        assert crude_bound_check(5).checked == 1
-
-    def test_passes(self):
-        for n in (5, 12, 23, 36, 60, 97):
-            check = crude_bound_check(n)
-            assert check.passed
-            assert check.max_ratio >= 0.0
-
-    def test_bound_definition(self):
-        n = 23
-        bound = factor_profile(n).totient * (1 + log(n)) ** 2
-        worst = max(
-            abs(count_S(p, q, n) - main_term(p, q, n))
-            for p, q in hard_window_pairs(n)
-        )
-        assert crude_bound_check(n).max_ratio == pytest.approx(worst / bound)

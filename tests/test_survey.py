@@ -109,6 +109,23 @@ class TestSurveyN:
         assert rec.e_n is not None
         assert 0 <= rec.e_n <= rec.h_size
         assert survey_n(60).e_n is None
+        # exact values: a composite n, and n = 300 on the d = 25 prime-power path
+        assert rec.e_n == 44
+        assert survey_n(300, deep_audit=True).e_n == 1180
+
+    def test_deep_audit_r_is_ceil_log_n(self, monkeypatch):
+        # e_n does not move with R at desk scale, so pin R at the call
+        seen = set()
+        real = survey.exceptional_set
+
+        def recording(n, q, R):
+            seen.add((n, R))
+            return real(n, q, R)
+
+        monkeypatch.setattr(survey, "exceptional_set", recording)
+        for n in (60, 97, 300):
+            survey_n(n, deep_audit=True)
+        assert seen == {(60, 5), (97, 5), (300, 6)}
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
