@@ -8,6 +8,7 @@ argv yields byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 from dataclasses import dataclass
@@ -25,10 +26,6 @@ class CommandOutcome:
     stdout_payload: str
 
 
-# the largest n a verify suite checks when --max-n is absent
-_MAX_N_DEFAULT = {"ramanujan": 200, "fourier-bounds": 500, "regression-families": 60}
-
-
 class _UsageError(Exception):
     pass
 
@@ -42,6 +39,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# built once per process: each parse_args call fills a fresh Namespace
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="trisieve",
@@ -58,7 +57,7 @@ def build_parser() -> _Parser:
         metavar="K",
         help="worker processes for surveys (output is order-independent)",
     )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     check = sub.add_parser("check", help="test one triangle for the obstruction")
     check.add_argument("p", type=int)
@@ -100,20 +99,16 @@ def build_parser() -> _Parser:
     survey.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
 
     verify = sub.add_parser("verify", help="run a named verification suite")
-    verify.add_argument(
-        "suite",
-        choices=(
-            "ramanujan",
-            "fourier-bounds",
-            "spectral",
-            "error-bound",
-            "regression-families",
-        ),
-    )
-    verify.add_argument("--max-n", type=int, dest="max_n")
-    verify.add_argument("--n", type=int, dest="n")
-    verify.add_argument("--q", type=int, dest="q")
-    verify.add_argument("--r", type=float, dest="r", help="parameter R >= 2")
+    suite = verify.add_subparsers(dest="suite", required=True)
+    for name, max_n in (
+        ("ramanujan", 200), ("fourier-bounds", 500), ("regression-families", 60)
+    ):
+        suite.add_parser(name).add_argument("--max-n", type=int, default=max_n)
+    suite.add_parser("spectral")
+    error_bound = suite.add_parser("error-bound")
+    error_bound.add_argument("--n", type=int, required=True)
+    error_bound.add_argument("--q", type=int, required=True)
+    error_bound.add_argument("--r", type=float, required=True, help="parameter R >= 2")
     return parser
 
 
@@ -170,20 +165,16 @@ def _cmd_survey(args) -> CommandOutcome:
 
 
 def _cmd_verify(args) -> CommandOutcome:
-    max_n = _MAX_N_DEFAULT.get(args.suite) if args.max_n is None else args.max_n
     if args.suite == "ramanujan":
-        ok, message = suites.ramanujan_suite(max_n)
+        ok, message = suites.ramanujan_suite(args.max_n)
     elif args.suite == "fourier-bounds":
-        ok, message = suites.fourier_bounds_suite(max_n)
+        ok, message = suites.fourier_bounds_suite(args.max_n)
     elif args.suite == "spectral":
         ok, message = suites.spectral_suite()
     elif args.suite == "error-bound":
-        if args.n is None or args.q is None or args.r is None:
-            print("error-bound needs --n, --q and --r", file=sys.stderr)
-            return CommandOutcome(1, "")
         ok, message = suites.error_bound_suite(args.n, args.q, args.r)
     else:
-        ok, message = suites.regression_families_suite(max_n)
+        ok, message = suites.regression_families_suite(args.max_n)
     return CommandOutcome(0 if ok else 2, message + "\n")
 
 
@@ -198,17 +189,13 @@ _DISPATCH = {
 
 def run(argv: list[str]) -> CommandOutcome:
     """Parse argv and dispatch; never raises for user-level errors."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError:
         return CommandOutcome(1, "")
     except SystemExit as exc:  # --help exits through argparse
         code = exc.code if isinstance(exc.code, int) else 0
         return CommandOutcome(code, "")
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return CommandOutcome(1, "")
     try:
         return _DISPATCH[args.command](args)
     except (ValueError, TypeError, ArithmeticError, ZeroDivisionError) as exc:

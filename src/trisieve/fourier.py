@@ -43,12 +43,13 @@ class SpectralDecomposition:
 @dataclass(frozen=True)
 class BoundCheck:
     """Outcome of sweeping one inequality over its test range: how many
-    cases ran, the worst left/right ratio, and where it occurred."""
+    cases ran, the worst left/right ratio, and the exceptional set whose
+    classes the sweep skipped."""
 
     checked: int
     max_ratio: float
     passed: bool
-    worst: tuple | None
+    exceptional: ExceptionalSet
 
 
 @dataclass(frozen=True)
@@ -175,13 +176,16 @@ def verify_error_bound(n: int, q: int, R: float) -> BoundCheck:
 
     Admissible: (p, q) in the window, gcd(p, P) = 1, and p mod d outside
     the exceptional classes for q. Passes iff the worst ratio is <= 1.
+    Raises ValueError unless 2(q + 1) < n, below which the window holds
+    no p for q and the sweep would pass with nothing checked.
     """
+    if not 2 * (q + 1) < n:
+        raise ValueError(f"no window pair has q={q} at n={n}: needs 2(q + 1) < n")
     exc = exceptional_set(n, q, R)
     prof = factor_profile(n)
     bound = 9.0 * R * prof.totient * (1.0 + log(n)) ** 2 / prof.largest_prime
     checked = 0
     max_ratio = 0.0
-    worst = None
     for p in range(1, (n - 2 * q - 1) // 2 + 1):
         if p % prof.largest_prime == 0:
             continue
@@ -190,8 +194,6 @@ def verify_error_bound(n: int, q: int, R: float) -> BoundCheck:
         err = count_S(p, q, n) - main_term(p, q, n)
         ratio = abs(err) / bound
         checked += 1
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst = (p, q)
-    return BoundCheck(checked, max_ratio, max_ratio <= 1.0, worst)
+        max_ratio = max(max_ratio, ratio)
+    return BoundCheck(checked, max_ratio, max_ratio <= 1.0, exc)
 

@@ -19,13 +19,7 @@ from .arith import (
     ramanujan_oracle,
 )
 from .criterion import MODE_TWO_OF_THREE, find_witness
-from .fourier import (
-    exceptional_set,
-    interval_hat,
-    sigma_residue,
-    spectral_S,
-    verify_error_bound,
-)
+from .fourier import interval_hat, sigma_residue, spectral_S, verify_error_bound
 from .triangle import (
     FAMILY_HOOPER,
     FAMILY_ONE,
@@ -120,10 +114,11 @@ def spectral_suite() -> tuple[bool, str]:
 
 def error_bound_suite(n: int, q: int, R: float) -> tuple[bool, str]:
     """Refined error bound over all admissible p, plus the cardinality cap
-    phi(d)/R on the exceptional residue classes."""
-    exc = exceptional_set(n, q, R)
-    cap = factor_profile(exc.d).totient / R
+    phi(d)/R on the exceptional residue classes. Raises ValueError when
+    the window holds no p for q."""
     check = verify_error_bound(n, q, R)
+    exc = check.exceptional
+    cap = factor_profile(exc.d).totient / R
     size_ok = len(exc.members) <= cap
     ok = check.passed and size_ok
     message = (

@@ -135,15 +135,24 @@ class TestVerifyCommand:
         assert "max ratio" in outcome.stdout_payload
 
     def test_error_bound_needs_params(self, capsys):
-        outcome = cli.run(["verify", "error-bound"])
-        assert outcome.exit_code == 1
-        capsys.readouterr()
+        for argv in (["verify", "error-bound"], ["verify", "error-bound", "--n", "101"]):
+            outcome = cli.run(argv)
+            assert outcome.exit_code == 1
+            assert outcome.stdout_payload == ""
+            assert "required" in capsys.readouterr().err
         for r in ("nan", "inf"):
             argv = ["verify", "error-bound", "--n", "101", "--q", "2", "--r", r]
             outcome = cli.run(argv)
             assert outcome.exit_code == 1
             assert outcome.stdout_payload == ""
             assert "R must satisfy" in capsys.readouterr().err
+
+    def test_error_bound_q_without_window_pair_exits_one(self, capsys):
+        for n, q in (("101", "50"), ("4", "1")):
+            outcome = cli.run(["verify", "error-bound", "--n", n, "--q", q, "--r", "2"])
+            assert outcome.exit_code == 1
+            assert outcome.stdout_payload == ""
+            assert "no window pair" in capsys.readouterr().err
 
     def test_max_n_below_range_exits_one(self, capsys):
         for suite in ("ramanujan", "fourier-bounds", "regression-families"):
@@ -156,6 +165,22 @@ class TestVerifyCommand:
     def test_regression_suite(self):
         outcome = cli.run(["verify", "regression-families", "--max-n", "30"])
         assert outcome.exit_code == 0
+
+    def test_spectral_suite(self):
+        outcome = cli.run(["verify", "spectral"])
+        assert outcome.exit_code == 0
+        assert "residual < 1e-6" in outcome.stdout_payload
+
+    def test_fourier_bounds_suite(self):
+        outcome = cli.run(["verify", "fourier-bounds", "--max-n", "2"])
+        assert outcome.exit_code == 0
+        assert "bounds hold to n = 2" in outcome.stdout_payload
+
+    def test_max_n_does_not_leak_between_calls(self):
+        first = cli.run(["verify", "regression-families", "--max-n", "9"])
+        second = cli.run(["verify", "regression-families"])
+        assert first.stdout_payload.endswith("up to n = 9\n")
+        assert second.stdout_payload.endswith("up to n = 60\n")
 
     def test_failing_suite_exits_two(self, monkeypatch):
         monkeypatch.setattr(
@@ -181,6 +206,20 @@ class TestUsageErrors:
         outcome = cli.run(["verify", "nonsense"])
         assert outcome.exit_code == 1
         capsys.readouterr()
+
+    def test_flag_the_suite_does_not_read(self, capsys):
+        for argv in (
+            ["verify", "spectral", "--max-n", "0"],
+            ["verify", "ramanujan", "--max-n", "3", "--n", "7"],
+            ["verify", "error-bound", "--n", "101", "--q", "2", "--r", "2", "--max-n", "5"],
+        ):
+            outcome = cli.run(argv)
+            assert outcome.exit_code == 1
+            assert outcome.stdout_payload == ""
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
     def test_malformed_flag(self, capsys):
         outcome = cli.run(["survey", "--min", "five", "--max", "10"])

@@ -185,4 +185,11 @@ class TestErrorBoundVerification:
             if p % 101 != 0 and gcd(gcd(p, q), n) == 1 and p % exc.d not in exc.members
         ]
         assert check.checked == len(admissible)
+        assert check.exceptional == exc
+
+    def test_rejects_q_without_window_pair(self):
+        assert verify_error_bound(101, 49, 2.0).checked == 1
+        for n, q in ((101, 50), (4, 1)):
+            with pytest.raises(ValueError):
+                verify_error_bound(n, q, 2.0)
 
