@@ -5,13 +5,13 @@ pairs of one denominator."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd
 
 import numpy as np
 
 from .arith import unit_set
-from .triangle import TriangleParams, hard_window_pairs
+from .triangle import TriangleParams, _as_eta
+from .triangle import hard_window_pairs  # noqa: F401  unused; perfbench/spans.py rebinds it
 
 MODE_TWO_PQ = "two_pq"
 MODE_TWO_OF_THREE = "two_of_three"
@@ -126,27 +126,42 @@ def sweep_window(n: int, eta=0) -> np.ndarray:
     ruled_two_pq and ruled_two_of_three, one row per pair of
     hard_window_pairs(n, eta) in its lexicographic order. Unit-major: the
     per-x bit rows are built once, then each pair costs a few word-wise
-    ANDs, ORs and popcounts instead of a loop over units.
+    ANDs, ORs and popcounts instead of a loop over units. Every column is
+    symmetric in p and q (r = n - p - q is too), so only the pairs with
+    p <= q are swept, one p at a time over contiguous slices of the rows,
+    and each pair with p > q copies the row of (q, p).
     """
     if n < 5:
         raise ValueError(f"sweep_window needs n >= 5, got {n}")
-    pairs = chain.from_iterable(hard_window_pairs(n, eta))
-    pairs = np.fromiter(pairs, dtype=np.int64).reshape(-1, 2)
+    cut = _as_eta(eta)
+    lo = cut.numerator * n // cut.denominator + 1
+    # every candidate (p, q) with lo <= p, q and p + q < n/2, lexicographic
+    ps = np.arange(lo, (n - 1) // 2 + 1, dtype=np.int64)
+    counts = np.maximum((n - 2 * ps - 1) // 2 - lo + 1, 0)
+    start = np.cumsum(counts) - counts
+    p = np.repeat(ps, counts)
+    q = np.arange(p.size, dtype=np.int64) - np.repeat(start, counts) + lo
     rows, usable = _word_rows(n)
     columns = [("p", "i8"), ("q", "i8"), ("s_count", "i8")]
     columns += [("ruled_two_pq", "?"), ("ruled_two_of_three", "?")]
-    table = np.zeros(len(pairs), dtype=columns)
-    table["p"], table["q"] = pairs.T
-    chunk = max(1, (1 << 16) // rows.shape[1])  # about 2**16 words per operand
-    for lo in range(0, len(table), chunk):
-        part = table[lo : lo + chunk]
-        p, q = part["p"], part["q"]
-        row_p, row_q, row_r = rows[p], rows[q], rows[n - p - q]
-        both = row_p & row_q
+    table = np.zeros(p.size, dtype=columns)
+    s_count = table["s_count"]
+    ruled_pq = table["ruled_two_pq"]
+    ruled_23 = table["ruled_two_of_three"]
+    for x in range(lo, (n - 1) // 4 + 1):  # p <= q and p + q < n/2 need 4p < n
+        q_hi = (n - 2 * x - 1) // 2
+        # the rows q = x .. q_hi and, in the same order, r = n - x - q
+        row_q = rows[x : q_hi + 1]
+        row_r = rows[n - x - q_hi : n - 2 * x + 1][::-1]
+        both = row_q & rows[x]
         # bitwise majority: the units meeting at least two of the three
-        two_of_three = both | (row_p | row_q) & row_r
-        part["s_count"] = np.bitwise_count(both).sum(axis=1)
-        part["ruled_two_pq"] = (both & usable).any(axis=1)
-        part["ruled_two_of_three"] = (two_of_three & usable).any(axis=1)
-    return table
-
+        two_of_three = both | (row_q | rows[x]) & row_r
+        first = start[x - lo] + x - lo  # the row of (x, x)
+        half = slice(first, first + q_hi - x + 1)
+        s_count[half] = np.bitwise_count(both).sum(axis=1)
+        ruled_pq[half] = (both & usable).any(axis=1)
+        ruled_23[half] = (two_of_three & usable).any(axis=1)
+    lower = p > q
+    table[lower] = table[start[q[lower] - lo] + p[lower] - lo]
+    table["p"], table["q"] = p, q
+    return table[np.gcd(np.gcd(p, q), n) == 1]

@@ -1,9 +1,10 @@
 """Unit tests for the obstruction criterion and the batch sweep."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trisieve.arith import factor_profile, unit_set
@@ -184,6 +185,54 @@ class TestBatchSurvey:
         for n in (23, 36, 61, 90):
             table = sweep_window(n)
             assert table["ruled_two_pq"][table["s_count"] >= 5].all()
+
+    def test_cut_window_matches_pointwise(self):
+        # pairs with p > q copy the row of (q, p); under a cut that mirror
+        # index is offset by the cut, so check every row against the oracles
+        for eta in (Fraction(1, 7), Fraction(1, 10), Fraction(1, 24)):
+            for n in range(5, 121):
+                table = sweep_window(n, eta)
+                pairs = list(zip(table["p"].tolist(), table["q"].tolist()))
+                assert pairs == hard_window_pairs(n, eta), (n, eta)
+                rows = zip(
+                    pairs,
+                    table["s_count"].tolist(),
+                    table["ruled_two_pq"].tolist(),
+                    table["ruled_two_of_three"].tolist(),
+                )
+                for (p, q), s, ruled_pq, ruled_23 in rows:
+                    assert s == count_S(p, q, n), (n, eta, p, q)
+                    assert ruled_pq == find_witness(p, q, n, MODE_TWO_PQ).ruled_out
+                    assert ruled_23 == find_witness(p, q, n, MODE_TWO_OF_THREE).ruled_out
+
+    @given(
+        st.integers(5, 400),
+        st.integers(7, 200).flatmap(
+            lambda den: st.tuples(st.integers(0, (den - 1) // 6), st.just(den))
+        ),
+    )
+    @example(243, (1, 10))
+    @example(256, (1, 7))
+    @example(343, (1, 24))
+    @example(8, (1, 7))  # the cut empties the window
+    @example(7, (1, 7))  # so does this one, at an odd n
+    @settings(max_examples=40, deadline=None)
+    def test_cut_sweep_on_sampled_n(self, n, frac):
+        eta = Fraction(*frac)
+        table = sweep_window(n, eta)
+        pairs = list(zip(table["p"].tolist(), table["q"].tolist()))
+        assert pairs == hard_window_pairs(n, eta)
+        row = {pq: i for i, pq in enumerate(pairs)}
+        picks = {0, len(pairs) // 3, len(pairs) // 2, len(pairs) - 1} if pairs else set()
+        for i in picks:
+            p, q = pairs[i]
+            assert table[row[(q, p)]].tolist()[2:] == table[i].tolist()[2:]
+            assert table["s_count"][i] == brute_count(p, q, n)
+            assert table["ruled_two_pq"][i] == find_witness(p, q, n, MODE_TWO_PQ).ruled_out
+            assert (
+                table["ruled_two_of_three"][i]
+                == find_witness(p, q, n, MODE_TWO_OF_THREE).ruled_out
+            )
 
     @given(st.integers(5, 150))
     @settings(max_examples=25, deadline=None)

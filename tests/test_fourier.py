@@ -1,6 +1,7 @@
 """Unit tests for the spectral decomposition and bound machinery."""
 
 import cmath
+import tracemalloc
 from math import gcd, log, pi
 
 import numpy as np
@@ -88,6 +89,32 @@ class TestSpectralS:
     def test_error_is_s_minus_main(self):
         dec = spectral_S(3, 4, 31)
         assert dec.error_term == pytest.approx(dec.s_direct - dec.main_term)
+
+    def test_matches_literal_double_sum(self):
+        # the n^2 double sum of the expansion, from the definitions alone
+        for n in range(5, 41):
+            x = np.arange(1, n + 1)
+            k = np.arange(n)
+            waves = np.exp(-2j * pi * np.outer(k, x) / n)
+            units = x[np.gcd(x, n) == 1]
+            c = np.cos(2 * pi * np.outer(k, units) / n).sum(axis=1)
+            for p, q in hard_window_pairs(n):
+                fp = waves[:, : 2 * p - 1].sum(axis=1) / n
+                fq = waves[:, : 2 * q - 1].sum(axis=1) / n
+                total = np.sum(fp[:, None] * fq[None, :] * c[np.add.outer(k * p, k * q) % n])
+                assert spectral_S(p, q, n).spectral_sum == pytest.approx(
+                    total.real, abs=1e-9
+                ), (n, p, q)
+
+    def test_memory_is_linear_in_n(self):
+        # an n x n index at n = 2999 alone takes 72 MB
+        tracemalloc.start()
+        try:
+            spectral_S(7, 1000, 2999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_ramanujan_table_cached_values(self):
         table = ramanujan_table(12)
