@@ -1,16 +1,17 @@
 """The usable-unit obstruction: modular inequalities, the count S(p, q),
 witness search in two modes, and a columnar bit-row sweep over all window
-pairs of one denominator."""
+pairs of one denominator, in blocks of one p each."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterator
 
 import numpy as np
 
 from .arith import unit_set
-from .triangle import TriangleParams, _as_eta
+from .triangle import TriangleParams, _window_lo
 from .triangle import hard_window_pairs  # noqa: F401  unused; perfbench/spans.py rebinds it
 
 MODE_TWO_PQ = "two_pq"
@@ -107,11 +108,15 @@ def _word_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     u = np.asarray(units.members, dtype=np.int64)
     width = 64 * -(-n // 64)
     rows = np.zeros((n, width // 64), dtype=np.uint64)
-    block = max(1, (1 << 21) // width)  # about 2**21 dense cells per block
+    block = max(1, (1 << 18) // width)  # about 2**18 dense cells per block
     for lo in range(1, n, block):
         xs = np.arange(lo, min(lo + block, n), dtype=np.int64)
-        dense = np.zeros((xs.size, width), dtype=bool)
-        dense[:, u] = (xs[:, None] * u[None, :]) % n < ((2 * xs) % n)[:, None]
+        # the row stride is an odd multiple of 64 bytes: at a stride of 2048
+        # (n = 1985..2048) the column scatter below ran about 40 % slower
+        dense = np.zeros((xs.size, width | 64), dtype=bool)[:, :width]
+        residues = np.multiply.outer(xs, u)
+        residues %= n  # in place: a fresh int64 block here took twice as long
+        dense[:, u] = residues < ((2 * xs) % n)[:, None]
         packed = np.packbits(dense, axis=1, bitorder="little")
         rows[lo : lo + xs.size] = packed.view(np.uint64)
     usable = np.zeros(width, dtype=bool)
@@ -119,35 +124,19 @@ def _word_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.packbits(usable, bitorder="little").view(np.uint64)
 
 
-def sweep_window(n: int, eta=0) -> np.ndarray:
-    """Verdicts for both modes plus S(p, q), for every window pair of n.
+def _half_window(
+    n: int, lo: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The pair kernel, one block per p = x with lo <= x and 4x < n.
 
-    Returns a numpy structured array with fields p, q, s_count,
-    ruled_two_pq and ruled_two_of_three, one row per pair of
-    hard_window_pairs(n, eta) in its lexicographic order. Unit-major: the
-    per-x bit rows are built once, then each pair costs a few word-wise
-    ANDs, ORs and popcounts instead of a loop over units. Every column is
-    symmetric in p and q (r = n - p - q is too), so only the pairs with
-    p <= q are swept, one p at a time over contiguous slices of the rows,
-    and each pair with p > q copies the row of (q, p).
+    Yields x and the s_count, ruled_two_pq and ruled_two_of_three columns
+    of the pairs (x, q), q = x .. (n - 2x - 1) // 2, in that order and not
+    yet filtered by gcd. Every column is symmetric in p and q (r = n - p - q
+    is too), so these blocks decide every window pair. Unit-major: the per-x
+    bit rows are built once, then each pair costs a few word-wise ANDs, ORs
+    and popcounts over contiguous slices of the rows.
     """
-    if n < 5:
-        raise ValueError(f"sweep_window needs n >= 5, got {n}")
-    cut = _as_eta(eta)
-    lo = cut.numerator * n // cut.denominator + 1
-    # every candidate (p, q) with lo <= p, q and p + q < n/2, lexicographic
-    ps = np.arange(lo, (n - 1) // 2 + 1, dtype=np.int64)
-    counts = np.maximum((n - 2 * ps - 1) // 2 - lo + 1, 0)
-    start = np.cumsum(counts) - counts
-    p = np.repeat(ps, counts)
-    q = np.arange(p.size, dtype=np.int64) - np.repeat(start, counts) + lo
     rows, usable = _word_rows(n)
-    columns = [("p", "i8"), ("q", "i8"), ("s_count", "i8")]
-    columns += [("ruled_two_pq", "?"), ("ruled_two_of_three", "?")]
-    table = np.zeros(p.size, dtype=columns)
-    s_count = table["s_count"]
-    ruled_pq = table["ruled_two_pq"]
-    ruled_23 = table["ruled_two_of_three"]
     for x in range(lo, (n - 1) // 4 + 1):  # p <= q and p + q < n/2 need 4p < n
         q_hi = (n - 2 * x - 1) // 2
         # the rows q = x .. q_hi and, in the same order, r = n - x - q
@@ -156,11 +145,41 @@ def sweep_window(n: int, eta=0) -> np.ndarray:
         both = row_q & rows[x]
         # bitwise majority: the units meeting at least two of the three
         two_of_three = both | (row_q | rows[x]) & row_r
+        yield (
+            x,
+            np.bitwise_count(both).sum(axis=1),
+            (both & usable).any(axis=1),
+            (two_of_three & usable).any(axis=1),
+        )
+
+
+def sweep_window(n: int, eta=0) -> np.ndarray:
+    """Verdicts for both modes plus S(p, q), for every window pair of n.
+
+    Returns a numpy structured array with fields p, q, s_count,
+    ruled_two_pq and ruled_two_of_three, one row per pair of
+    hard_window_pairs(n, eta) in its lexicographic order. The rows with
+    p <= q come from the _half_window blocks, and each pair with p > q
+    copies the row of (q, p).
+    """
+    if n < 5:
+        raise ValueError(f"sweep_window needs n >= 5, got {n}")
+    lo = _window_lo(n, eta)
+    # every candidate (p, q) with lo <= p, q and p + q < n/2, lexicographic
+    ps = np.arange(lo, (n - 1) // 2 + 1, dtype=np.int64)
+    counts = np.maximum((n - 2 * ps - 1) // 2 - lo + 1, 0)
+    start = np.cumsum(counts) - counts
+    p = np.repeat(ps, counts)
+    q = np.arange(p.size, dtype=np.int64) - np.repeat(start, counts) + lo
+    columns = [("p", "i8"), ("q", "i8"), ("s_count", "i8")]
+    columns += [("ruled_two_pq", "?"), ("ruled_two_of_three", "?")]
+    table = np.zeros(p.size, dtype=columns)
+    for x, s_count, ruled_pq, ruled_23 in _half_window(n, lo):
         first = start[x - lo] + x - lo  # the row of (x, x)
-        half = slice(first, first + q_hi - x + 1)
-        s_count[half] = np.bitwise_count(both).sum(axis=1)
-        ruled_pq[half] = (both & usable).any(axis=1)
-        ruled_23[half] = (two_of_three & usable).any(axis=1)
+        half = slice(first, first + s_count.size)
+        table["s_count"][half] = s_count
+        table["ruled_two_pq"][half] = ruled_pq
+        table["ruled_two_of_three"][half] = ruled_23
     lower = p > q
     table[lower] = table[start[q[lower] - lo] + p[lower] - lo]
     table["p"], table["q"] = p, q

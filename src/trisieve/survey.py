@@ -1,9 +1,9 @@
 """Per-denominator density statistics and CSV emission.
 
 A survey runs the batch obstruction sweep for each denominator, tallies
-how many window pairs are ruled out under each mode, and writes one CSV
-row per denominator so the vanishing proportion of survivors can be
-tabulated and plotted downstream.
+how many window pairs are ruled out under each mode as the sweep's blocks
+arrive, and writes one CSV row per denominator so the vanishing proportion
+of survivors can be tabulated and plotted downstream.
 """
 
 from __future__ import annotations
@@ -12,12 +12,16 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from math import ceil, log
+from math import ceil, gcd, log
 from typing import Iterable, Iterator, TextIO
 
+import numpy as np
+
 from .arith import factor_profile, is_prime
-from .criterion import sweep_window
+from .criterion import _half_window
+from .criterion import sweep_window  # noqa: F401  unused; perfbench/spans.py rebinds it
 from .fourier import exceptional_set
+from .triangle import _window_lo
 
 CSV_HEADER = (
     "n,p_plus,omega_plus,h_size,ruled_two_pq,ruled_two_of_three,"
@@ -71,8 +75,9 @@ def in_region_C(n: int, p, q):
 
 
 def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
-    """Aggregate the columns of sweep_window(n, eta) into a SurveyRecord
-    of Python ints and floats.
+    """Tally the window pairs of sweep_window(n, eta) into a SurveyRecord
+    of Python ints and floats, one half-window block at a time, so memory
+    stays linear in n and the pair table is never built.
 
     Both criterion modes are always tallied. With deep_audit=True the
     exceptional residue classes are computed per q and the size of the
@@ -83,37 +88,57 @@ def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
     """
     if n < 5:
         raise ValueError(f"survey_n needs n >= 5, got {n}")
-    table = sweep_window(n, eta)
-    p, q = table["p"], table["q"]
+    lo = _window_lo(n, eta)
     p_plus = factor_profile(n).largest_prime
-    h_size = len(table)
-    ruled_23 = int(table["ruled_two_of_three"].sum())
-    in_c = int(in_region_C(n, p, q).sum()) if n >= 16 else 0
-    e_n = _deep_audit_count(n, zip(p.tolist(), q.tolist())) if deep_audit else None
+    h_size = ruled_pq = ruled_23 = s_ge5 = in_c = q_div_P = 0
+    members: dict[int, frozenset[int]] = {}
+    e_n = 0
+    for x, s_count, two_pq, two_of_three in _half_window(n, lo):
+        q = np.arange(x, x + s_count.size)
+        keep = np.gcd(q, gcd(x, n)) == 1
+        # a kept pair x < q is two table rows, (x, q) and (q, x); (x, x) is one
+        weight = 2 * keep
+        weight[0] = keep[0]
+        h_size += int(weight.sum())
+        ruled_pq += int(weight[two_pq].sum())
+        ruled_23 += int(weight[two_of_three].sum())
+        s_ge5 += int(weight[s_count >= 5].sum())
+        if n >= 16:
+            in_c += int(weight[in_region_C(n, x, q)].sum())
+        # q_div_P reads the q column, the one column not symmetric in p, q
+        q_div_P += int((keep & (q % p_plus == 0)).sum())
+        if x % p_plus == 0:
+            q_div_P += int(keep[1:].sum())
+        if deep_audit:
+            kept = q[keep].tolist()
+            pairs = [(x, k) for k in kept] + [(k, x) for k in kept if k > x]
+            e_n += _deep_audit_count(n, pairs, members)
     return SurveyRecord(
         n,
         p_plus,
         omega_plus_member(n),
         h_size,
-        int(table["ruled_two_pq"].sum()),
+        ruled_pq,
         ruled_23,
-        int((table["s_count"] >= 5).sum()),
+        s_ge5,
         in_c,
-        int((q % p_plus == 0).sum()),
+        q_div_P,
         ruled_23 / h_size if h_size else 0.0,
-        e_n,
+        e_n if deep_audit else None,
     )
 
 
-def _deep_audit_count(n: int, pairs: Iterable[tuple[int, int]]) -> int:
-    """Size of the exceptional pair region: pairs with gcd(q, P) = 1 where
-    either P | p or p mod d lands in the exceptional classes for q at
-    R = ceil(log n), which is at least 2 because n >= 5."""
+def _deep_audit_count(
+    n: int, pairs: Iterable[tuple[int, int]], members: dict[int, frozenset[int]]
+) -> int:
+    """Size of the exceptional pair region among pairs: those with
+    gcd(q, P) = 1 where either P | p or p mod d lands in the exceptional
+    classes for q at R = ceil(log n), which is at least 2 because n >= 5.
+    members caches those classes by q across calls for the same n."""
     prof = factor_profile(n)
     P = prof.largest_prime
     d = P ** prof.valuation(P)
     R = ceil(log(n))
-    members_cache: dict[int, frozenset[int]] = {}
     count = 0
     for p, q in pairs:
         if q % P == 0:
@@ -121,11 +146,9 @@ def _deep_audit_count(n: int, pairs: Iterable[tuple[int, int]]) -> int:
         if p % P == 0:
             count += 1
             continue
-        members = members_cache.get(q)
-        if members is None:
-            members = exceptional_set(n, q, R).members
-            members_cache[q] = members
-        if p % d in members:
+        if q not in members:
+            members[q] = exceptional_set(n, q, R).members
+        if p % d in members[q]:
             count += 1
     return count
 

@@ -58,6 +58,13 @@ def _as_eta(eta) -> Fraction:
     return value
 
 
+def _window_lo(n: int, eta) -> int:
+    """The least p and q a window pair may take under the cut eta: the
+    exact integer bound num * n // den + 1."""
+    cut = _as_eta(eta)
+    return cut.numerator * n // cut.denominator + 1
+
+
 def hard_window_pairs(n: int, eta: Fraction | str | int = 0) -> list[tuple[int, int]]:
     """All pairs (p, q) with p, q >= 1, p + q < n/2, gcd(p, q, n) = 1,
     ordered lexicographically.
@@ -68,8 +75,7 @@ def hard_window_pairs(n: int, eta: Fraction | str | int = 0) -> list[tuple[int, 
     """
     if n < 3:
         raise ValueError(f"hard_window_pairs needs n >= 3, got {n}")
-    cut = _as_eta(eta)
-    lo = cut.numerator * n // cut.denominator + 1
+    lo = _window_lo(n, eta)
     pairs: list[tuple[int, int]] = []
     for p in range(lo, (n - 1) // 2 + 1):
         q_max = (n - 2 * p - 1) // 2

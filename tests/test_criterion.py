@@ -3,14 +3,16 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trisieve.arith import factor_profile, unit_set
+from trisieve.arith import factor_profile, is_prime, unit_set
 from trisieve.criterion import (
     MODE_TWO_OF_THREE,
     MODE_TWO_PQ,
+    _word_rows,
     count_S,
     find_witness,
     ineq_holds,
@@ -159,6 +161,32 @@ class TestBatchSurvey:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             sweep_window(4)
+
+    def test_word_rows_match_definition(self):
+        # rows of n = 1999 and 2048 are 2048 bits wide, where the dense block
+        # that builds them is padded
+        for n in [*range(5, 80), 1999, 2048]:
+            rows, usable = _word_rows(n)
+            bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
+            a = np.arange(bits.shape[1])
+            x = np.arange(n)[:, None]
+            want = (a < n) & (np.gcd(a, n) == 1) & ((a * x) % n < (2 * x) % n)
+            assert np.array_equal(bits.astype(bool), want), n
+            usable_bits = np.unpackbits(usable.view(np.uint8), bitorder="little")
+            assert np.flatnonzero(usable_bits).tolist() == list(unit_set(n).usable)
+
+    def test_prime_survivors(self):
+        # a prime n other than 11 leaves three pairs unruled by two of three
+        # inequalities: (1, 1) and the edge triangle (1, m, m + 2) both ways
+        def survivors(n):
+            table = sweep_window(n)
+            left = table[~table["ruled_two_of_three"]]
+            return set(zip(left["p"].tolist(), left["q"].tolist()))
+
+        for n in [7] + [n for n in range(13, 400) if is_prime(n)]:
+            m = (n - 3) // 2
+            assert survivors(n) == {(1, 1), (1, m), (m, 1)}, n
+        assert survivors(11) == {(1, 1), (1, 4), (2, 3), (3, 2), (4, 1)}
 
     def test_agrees_with_pointwise(self):
         for n in (12, 23, 36, 47):

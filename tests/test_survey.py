@@ -1,14 +1,17 @@
 """Unit tests for the survey statistics and CSV emission."""
 
 import io
+import tracemalloc
 from fractions import Fraction
+from math import ceil, log
 
 import numpy as np
 import pytest
 
 from trisieve import survey
-from trisieve.arith import factor_profile, is_prime
+from trisieve.arith import factor_profile, is_prime, unit_set
 from trisieve.criterion import sweep_window
+from trisieve.fourier import exceptional_set
 from trisieve.survey import (
     CSV_HEADER,
     in_region_C,
@@ -25,6 +28,53 @@ def row_of(table, p, q):
     """The one row of a sweep_window table that holds the pair (p, q)."""
     (index,) = np.flatnonzero((table["p"] == p) & (table["q"] == q))
     return table[index]
+
+
+def table_tally(n, eta=0):
+    """The CSV counts of n tallied from the full sweep_window table, one
+    row per pair: the reference for survey_n's block tallies."""
+    table = sweep_window(n, eta)
+    p, q = table["p"], table["q"]
+    h_size = len(table)
+    ruled_23 = int(table["ruled_two_of_three"].sum())
+    return (
+        h_size,
+        int(table["ruled_two_pq"].sum()),
+        ruled_23,
+        int((table["s_count"] >= 5).sum()),
+        int(in_region_C(n, p, q).sum()) if n >= 16 else 0,
+        int((q % factor_profile(n).largest_prime == 0).sum()),
+        ruled_23 / h_size if h_size else 0.0,
+    )
+
+
+def record_tally(rec):
+    return (
+        rec.h_size,
+        rec.ruled_two_pq,
+        rec.ruled_two_of_three,
+        rec.s_ge5,
+        rec.in_C,
+        rec.q_div_P,
+        rec.frac_ruled,
+    )
+
+
+def table_e_n(n):
+    """e_n counted pair by pair over the full sweep_window table."""
+    table = sweep_window(n)
+    prof = factor_profile(n)
+    P = prof.largest_prime
+    d = P ** prof.valuation(P)
+    members = {}
+    count = 0
+    for p, q in zip(table["p"].tolist(), table["q"].tolist()):
+        if q % P == 0:
+            continue
+        if q not in members:
+            members[q] = exceptional_set(n, q, ceil(log(n))).members
+        count += p % P == 0 or p % d in members[q]
+    return count
 
 
 class TestOmegaPlus:
@@ -130,6 +180,32 @@ class TestSurveyN:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             survey_n(4)
+
+    def test_streaming_matches_table(self):
+        etas = (0, Fraction(1, 7), Fraction(1, 10))
+        cases = [(n, eta) for n in range(5, 301) for eta in etas]
+        cases += [(n, 0) for n in (686, 1000, 1024, 2310)]
+        # P = 23 divides some p: q_div_P counts the q column, not q and p alike
+        cases += [(2300, Fraction(1, 7))]
+        for n, eta in cases:
+            assert record_tally(survey_n(n, eta)) == table_tally(n, eta), (n, eta)
+        assert table_tally(2300, Fraction(1, 7))[5] == 3589
+
+    def test_deep_audit_matches_table(self):
+        for n in (60, 97, 250, 300):
+            assert survey_n(n, deep_audit=True).e_n == table_e_n(n), n
+
+    def test_memory_is_linear_in_n(self):
+        # tallying a table with one row per window pair peaks at 41 MiB
+        unit_set(2003)
+        factor_profile(2003)
+        tracemalloc.start()
+        try:
+            survey_n(2003)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestSurveyRange:
