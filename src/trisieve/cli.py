@@ -198,7 +198,7 @@ def run(argv: list[str]) -> CommandOutcome:
         return CommandOutcome(code, "")
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, TypeError, ArithmeticError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandOutcome(1, "")
 

@@ -99,18 +99,19 @@ def find_witness(p: int, q: int, n: int, mode: str = MODE_TWO_PQ) -> WitnessRepo
     return WitnessReport(triangle, witness is not None, witness, held, count_S(p, q, n))
 
 
-def _word_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row x (1 <= x < n) of an n x ceil(n/64) uint64 array has bit a set
-    iff a is a unit mod n with [a*x]_n < [2*x]_n; row 0 is empty. Also
-    returns the row of usable units. Only ANDs, ORs and popcounts read the
-    rows, so the byte order inside a word does not matter."""
+def _word_rows(n: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row x (lo <= x <= n - 2*lo) of an n x ceil(n/64) uint64 array has
+    bit a set iff a is a unit mod n with [a*x]_n < [2*x]_n; the other rows,
+    which no window pair with p, q >= lo reads, stay empty. Also returns
+    the row of usable units. Only ANDs, ORs and popcounts read the rows,
+    so the byte order inside a word does not matter."""
     units = unit_set(n)
     u = np.asarray(units.members, dtype=np.int64)
     width = 64 * -(-n // 64)
     rows = np.zeros((n, width // 64), dtype=np.uint64)
     block = max(1, (1 << 18) // width)  # about 2**18 dense cells per block
-    for lo in range(1, n, block):
-        xs = np.arange(lo, min(lo + block, n), dtype=np.int64)
+    for first in range(lo, n - 2 * lo + 1, block):
+        xs = np.arange(first, min(first + block, n - 2 * lo + 1), dtype=np.int64)
         # the row stride is an odd multiple of 64 bytes: at a stride of 2048
         # (n = 1985..2048) the column scatter below ran about 40 % slower
         dense = np.zeros((xs.size, width | 64), dtype=bool)[:, :width]
@@ -118,7 +119,7 @@ def _word_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
         residues %= n  # in place: a fresh int64 block here took twice as long
         dense[:, u] = residues < ((2 * xs) % n)[:, None]
         packed = np.packbits(dense, axis=1, bitorder="little")
-        rows[lo : lo + xs.size] = packed.view(np.uint64)
+        rows[first : first + xs.size] = packed.view(np.uint64)
     usable = np.zeros(width, dtype=bool)
     usable[list(units.usable)] = True
     return rows, np.packbits(usable, bitorder="little").view(np.uint64)
@@ -126,17 +127,17 @@ def _word_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _half_window(
     n: int, lo: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The pair kernel, one block per p = x with lo <= x and 4x < n.
 
-    Yields x and the s_count, ruled_two_pq and ruled_two_of_three columns
-    of the pairs (x, q), q = x .. (n - 2x - 1) // 2, in that order and not
-    yet filtered by gcd. Every column is symmetric in p and q (r = n - p - q
-    is too), so these blocks decide every window pair. Unit-major: the per-x
-    bit rows are built once, then each pair costs a few word-wise ANDs, ORs
-    and popcounts over contiguous slices of the rows.
+    Yields x and the q, s_count, ruled_two_pq and ruled_two_of_three
+    columns of the window pairs (x, q) with x <= q <= (n - 2x - 1) // 2
+    and gcd(x, q, n) = 1, in ascending q. Every verdict column is symmetric
+    in p and q (r = n - p - q is too), so these blocks decide every window
+    pair. Unit-major: the bit rows are built once, then each pair costs a
+    few word-wise ANDs, ORs and popcounts over contiguous slices of the rows.
     """
-    rows, usable = _word_rows(n)
+    rows, usable = _word_rows(n, lo)
     for x in range(lo, (n - 1) // 4 + 1):  # p <= q and p + q < n/2 need 4p < n
         q_hi = (n - 2 * x - 1) // 2
         # the rows q = x .. q_hi and, in the same order, r = n - x - q
@@ -145,11 +146,14 @@ def _half_window(
         both = row_q & rows[x]
         # bitwise majority: the units meeting at least two of the three
         two_of_three = both | (row_q | rows[x]) & row_r
+        q = np.arange(x, q_hi + 1)
+        keep = np.gcd(q, gcd(x, n)) == 1
         yield (
             x,
-            np.bitwise_count(both).sum(axis=1),
-            (both & usable).any(axis=1),
-            (two_of_three & usable).any(axis=1),
+            q[keep],
+            np.bitwise_count(both).sum(axis=1)[keep],
+            (both & usable).any(axis=1)[keep],
+            (two_of_three & usable).any(axis=1)[keep],
         )
 
 
@@ -158,29 +162,22 @@ def sweep_window(n: int, eta=0) -> np.ndarray:
 
     Returns a numpy structured array with fields p, q, s_count,
     ruled_two_pq and ruled_two_of_three, one row per pair of
-    hard_window_pairs(n, eta) in its lexicographic order. The rows with
-    p <= q come from the _half_window blocks, and each pair with p > q
-    copies the row of (q, p).
+    hard_window_pairs(n, eta) in its lexicographic order: the _half_window
+    rows, plus each row with p < q again with p and q swapped.
     """
     if n < 5:
         raise ValueError(f"sweep_window needs n >= 5, got {n}")
-    lo = _window_lo(n, eta)
-    # every candidate (p, q) with lo <= p, q and p + q < n/2, lexicographic
-    ps = np.arange(lo, (n - 1) // 2 + 1, dtype=np.int64)
-    counts = np.maximum((n - 2 * ps - 1) // 2 - lo + 1, 0)
-    start = np.cumsum(counts) - counts
-    p = np.repeat(ps, counts)
-    q = np.arange(p.size, dtype=np.int64) - np.repeat(start, counts) + lo
     columns = [("p", "i8"), ("q", "i8"), ("s_count", "i8")]
     columns += [("ruled_two_pq", "?"), ("ruled_two_of_three", "?")]
-    table = np.zeros(p.size, dtype=columns)
-    for x, s_count, ruled_pq, ruled_23 in _half_window(n, lo):
-        first = start[x - lo] + x - lo  # the row of (x, x)
-        half = slice(first, first + s_count.size)
-        table["s_count"][half] = s_count
-        table["ruled_two_pq"][half] = ruled_pq
-        table["ruled_two_of_three"][half] = ruled_23
-    lower = p > q
-    table[lower] = table[start[q[lower] - lo] + p[lower] - lo]
-    table["p"], table["q"] = p, q
-    return table[np.gcd(np.gcd(p, q), n) == 1]
+    blocks = [np.zeros(0, dtype=columns)]  # an eta cut can leave no pair
+    for x, q, s_count, ruled_pq, ruled_23 in _half_window(n, _window_lo(n, eta)):
+        block = np.zeros(q.size, dtype=columns)
+        block["p"], block["q"], block["s_count"] = x, q, s_count
+        block["ruled_two_pq"], block["ruled_two_of_three"] = ruled_pq, ruled_23
+        blocks.append(block)
+    half = np.concatenate(blocks)
+    upper = half["p"] < half["q"]
+    mirror = half[upper]
+    mirror["p"], mirror["q"] = half["q"][upper], half["p"][upper]
+    table = np.concatenate([half, mirror])
+    return table[np.lexsort((table["q"], table["p"]))]

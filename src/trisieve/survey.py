@@ -91,14 +91,9 @@ def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
     lo = _window_lo(n, eta)
     p_plus = factor_profile(n).largest_prime
     h_size = ruled_pq = ruled_23 = s_ge5 = in_c = q_div_P = 0
-    members: dict[int, frozenset[int]] = {}
-    e_n = 0
-    for x, s_count, two_pq, two_of_three in _half_window(n, lo):
-        q = np.arange(x, x + s_count.size)
-        keep = np.gcd(q, gcd(x, n)) == 1
-        # a kept pair x < q is two table rows, (x, q) and (q, x); (x, x) is one
-        weight = 2 * keep
-        weight[0] = keep[0]
+    for x, q, s_count, two_pq, two_of_three in _half_window(n, lo):
+        # a pair x < q is two table rows, (x, q) and (q, x); (x, x) is one
+        weight = np.where(q == x, 1, 2)
         h_size += int(weight.sum())
         ruled_pq += int(weight[two_pq].sum())
         ruled_23 += int(weight[two_of_three].sum())
@@ -106,13 +101,9 @@ def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
         if n >= 16:
             in_c += int(weight[in_region_C(n, x, q)].sum())
         # q_div_P reads the q column, the one column not symmetric in p, q
-        q_div_P += int((keep & (q % p_plus == 0)).sum())
+        q_div_P += int((q % p_plus == 0).sum())
         if x % p_plus == 0:
-            q_div_P += int(keep[1:].sum())
-        if deep_audit:
-            kept = q[keep].tolist()
-            pairs = [(x, k) for k in kept] + [(k, x) for k in kept if k > x]
-            e_n += _deep_audit_count(n, pairs, members)
+            q_div_P += int((q > x).sum())
     return SurveyRecord(
         n,
         p_plus,
@@ -124,32 +115,28 @@ def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
         in_c,
         q_div_P,
         ruled_23 / h_size if h_size else 0.0,
-        e_n if deep_audit else None,
+        _exceptional_pairs(n, lo) if deep_audit else None,
     )
 
 
-def _deep_audit_count(
-    n: int, pairs: Iterable[tuple[int, int]], members: dict[int, frozenset[int]]
-) -> int:
-    """Size of the exceptional pair region among pairs: those with
-    gcd(q, P) = 1 where either P | p or p mod d lands in the exceptional
-    classes for q at R = ceil(log n), which is at least 2 because n >= 5.
-    members caches those classes by q across calls for the same n."""
+def _exceptional_pairs(n: int, lo: int) -> int:
+    """Size of the exceptional pair region among the window pairs (p, q)
+    with p, q >= lo: those with gcd(q, P) = 1 where either P | p or p mod d
+    lands in the exceptional classes for q at R = ceil(log n), which is at
+    least 2 because n >= 5. The classes depend on q alone, so the pairs are
+    counted one q at a time."""
     prof = factor_profile(n)
     P = prof.largest_prime
     d = P ** prof.valuation(P)
     R = ceil(log(n))
     count = 0
-    for p, q in pairs:
+    for q in range(lo, (n - 2 * lo - 1) // 2 + 1):
         if q % P == 0:
             continue
-        if p % P == 0:
-            count += 1
-            continue
-        if q not in members:
-            members[q] = exceptional_set(n, q, R).members
-        if p % d in members[q]:
-            count += 1
+        p = np.arange(lo, (n - 2 * q - 1) // 2 + 1)
+        p = p[np.gcd(p, gcd(q, n)) == 1]
+        members = list(exceptional_set(n, q, R).members)
+        count += int(((p % P == 0) | np.isin(p % d, members)).sum())
     return count
 
 

@@ -1,11 +1,15 @@
 """Tests for the command-line surface: grammar, output, exit codes."""
 
+import json
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from trisieve import cli
 from trisieve.survey import CSV_HEADER
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def brute_count(p, q, n):
@@ -108,12 +112,30 @@ class TestSurveyCommand:
             assert out.read_text(encoding="utf-8") == "earlier results\n"
         capsys.readouterr()
 
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        for out in (tmp_path / "missing" / "s.csv", tmp_path):
+            outcome = cli.run(["survey", "--min", "5", "--max", "8", "--out", str(out)])
+            assert outcome.exit_code == 1
+            assert outcome.stdout_payload == ""
+            assert capsys.readouterr().err.startswith("error: ")
+
     def test_threads_below_one_exit_one(self, capsys):
         for threads in ("0", "-3"):
             outcome = cli.run(["--threads", threads, "survey", "--min", "5", "--max", "10"])
             assert outcome.exit_code == 1
             assert outcome.stdout_payload == ""
             assert "workers must be at least 1" in capsys.readouterr().err
+
+    def test_matches_stored_references(self, capsys):
+        # one denominator of each stored benchmark reference, byte for byte
+        for workload, n in (("survey-prime", 1901), ("survey-cut", 1900), ("deep-audit", 487)):
+            doc = json.loads((REFERENCE / f"{workload}.json").read_text(encoding="utf-8"))
+            argv = ["--threads", "1", "survey", "--min", str(n), "--max", str(n)]
+            outcome = cli.run(argv + doc["flags"])
+            want = doc["outputs"][str(n)]
+            assert outcome.exit_code == 0
+            assert outcome.stdout_payload == want["stdout"], workload
+            assert capsys.readouterr().err == want["stderr"], workload
 
     def test_threads_do_not_change_output(self, tmp_path):
         a = tmp_path / "a.csv"

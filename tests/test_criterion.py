@@ -18,7 +18,7 @@ from trisieve.criterion import (
     ineq_holds,
     sweep_window,
 )
-from trisieve.triangle import hard_window_pairs
+from trisieve.triangle import _window_lo, hard_window_pairs
 
 
 def brute_count(p, q, n):
@@ -164,16 +164,18 @@ class TestBatchSurvey:
 
     def test_word_rows_match_definition(self):
         # rows of n = 1999 and 2048 are 2048 bits wide, where the dense block
-        # that builds them is padded
+        # that builds them is padded; only rows lo .. n - 2*lo are built
         for n in [*range(5, 80), 1999, 2048]:
-            rows, usable = _word_rows(n)
-            bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
-            a = np.arange(bits.shape[1])
-            x = np.arange(n)[:, None]
-            want = (a < n) & (np.gcd(a, n) == 1) & ((a * x) % n < (2 * x) % n)
-            assert np.array_equal(bits.astype(bool), want), n
-            usable_bits = np.unpackbits(usable.view(np.uint8), bitorder="little")
-            assert np.flatnonzero(usable_bits).tolist() == list(unit_set(n).usable)
+            for lo in (1, _window_lo(n, Fraction(1, 7))):
+                rows, usable = _word_rows(n, lo)
+                bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
+                a = np.arange(bits.shape[1])
+                x = np.arange(n)[:, None]
+                want = (a < n) & (np.gcd(a, n) == 1) & ((a * x) % n < (2 * x) % n)
+                want &= (lo <= x) & (x <= n - 2 * lo)
+                assert np.array_equal(bits.astype(bool), want), (n, lo)
+                usable_bits = np.unpackbits(usable.view(np.uint8), bitorder="little")
+                assert np.flatnonzero(usable_bits).tolist() == list(unit_set(n).usable)
 
     def test_prime_survivors(self):
         # a prime n other than 11 leaves three pairs unruled by two of three

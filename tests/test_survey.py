@@ -11,7 +11,7 @@ import pytest
 from trisieve import survey
 from trisieve.arith import factor_profile, is_prime, unit_set
 from trisieve.criterion import sweep_window
-from trisieve.fourier import exceptional_set
+from trisieve.fourier import ExceptionalSet, exceptional_set
 from trisieve.survey import (
     CSV_HEADER,
     in_region_C,
@@ -60,9 +60,28 @@ def record_tally(rec):
     )
 
 
-def table_e_n(n):
-    """e_n counted pair by pair over the full sweep_window table."""
-    table = sweep_window(n)
+def real_classes(n, q, R):
+    return exceptional_set(n, q, R).members
+
+
+def fake_exceptional_set(n, q, R):
+    """Stand-in with nonempty classes -q*u mod d for u = -1 and -2, less
+    multiples of P: at desk scale every real exceptional set is empty."""
+    prof = factor_profile(n)
+    P = prof.largest_prime
+    d = P ** prof.valuation(P)
+    members = {b for b in (q % d, 2 * q % d) if b % P}
+    return ExceptionalSet(d, frozenset(members), {})
+
+
+def fake_classes(n, q, R):
+    return fake_exceptional_set(n, q, R).members
+
+
+def table_e_n(n, eta=0, classes=real_classes):
+    """e_n counted pair by pair over the full sweep_window table, with the
+    exceptional classes of q given by classes(n, q, R)."""
+    table = sweep_window(n, eta)
     prof = factor_profile(n)
     P = prof.largest_prime
     d = P ** prof.valuation(P)
@@ -72,7 +91,7 @@ def table_e_n(n):
         if q % P == 0:
             continue
         if q not in members:
-            members[q] = exceptional_set(n, q, ceil(log(n))).members
+            members[q] = classes(n, q, ceil(log(n)))
         count += p % P == 0 or p % d in members[q]
     return count
 
@@ -194,6 +213,18 @@ class TestSurveyN:
     def test_deep_audit_matches_table(self):
         for n in (60, 97, 250, 300):
             assert survey_n(n, deep_audit=True).e_n == table_e_n(n), n
+
+    def test_deep_audit_exceptional_classes(self, monkeypatch):
+        # the real sets are empty here, so only the fake reaches p mod d
+        cases = [(n, eta) for n in (60, 97, 250, 256, 300) for eta in (0, Fraction(1, 7))]
+        real = {case: survey_n(*case, deep_audit=True).e_n for case in cases}
+        cut = [real[n, Fraction(1, 7)] for n in (60, 97, 250, 256, 300)]
+        assert cut == [9, 0, 160, 378, 228]
+        monkeypatch.setattr(survey, "exceptional_set", fake_exceptional_set)
+        for case in cases:
+            e_n = survey_n(*case, deep_audit=True).e_n
+            assert e_n == table_e_n(*case, fake_classes), case
+            assert e_n != real[case], case
 
     def test_memory_is_linear_in_n(self):
         # tallying a table with one row per window pair peaks at 41 MiB
