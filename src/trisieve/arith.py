@@ -94,7 +94,7 @@ class UnitSet:
     usable: tuple[int, ...]
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=8)  # no caller works with more than two moduli (n, d) at once
 def unit_set(n: int) -> UnitSet:
     if n < 1:
         raise ValueError(f"unit_set needs n >= 1, got {n}")

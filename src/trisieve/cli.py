@@ -60,6 +60,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     check = sub.add_parser("check", help="test one triangle for the obstruction")
+    check.set_defaults(handler=_cmd_check)
     check.add_argument("p", type=int)
     check.add_argument("q", type=int)
     check.add_argument("n", type=int)
@@ -68,6 +69,7 @@ def build_parser() -> _Parser:
     )
 
     count = sub.add_parser("count", help="print S(p, q) for one pair")
+    count.set_defaults(handler=_cmd_count)
     count.add_argument("p", type=int)
     count.add_argument("q", type=int)
     count.add_argument("n", type=int)
@@ -75,11 +77,13 @@ def build_parser() -> _Parser:
     spectrum = sub.add_parser(
         "spectrum", help="print S, main term, error term, and residual"
     )
+    spectrum.set_defaults(handler=_cmd_spectrum)
     spectrum.add_argument("p", type=int)
     spectrum.add_argument("q", type=int)
     spectrum.add_argument("n", type=int)
 
     survey = sub.add_parser("survey", help="emit per-denominator CSV statistics")
+    survey.set_defaults(handler=_cmd_survey)
     survey.add_argument("--min", type=int, required=True)
     survey.add_argument("--max", type=int, required=True)
     survey.add_argument(
@@ -99,16 +103,23 @@ def build_parser() -> _Parser:
     survey.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
 
     verify = sub.add_parser("verify", help="run a named verification suite")
+    verify.set_defaults(handler=_cmd_verify)
     suite = verify.add_subparsers(dest="suite", required=True)
-    for name, max_n in (
-        ("ramanujan", 200), ("fourier-bounds", 500), ("regression-families", 60)
+    # run_suite looks its suite up at call time: build_parser's result is cached
+    for name, max_n, run_suite in (
+        ("ramanujan", 200, lambda a: suites.ramanujan_suite(a.max_n)),
+        ("fourier-bounds", 500, lambda a: suites.fourier_bounds_suite(a.max_n)),
+        ("regression-families", 60, lambda a: suites.regression_families_suite(a.max_n)),
     ):
-        suite.add_parser(name).add_argument("--max-n", type=int, default=max_n)
-    suite.add_parser("spectral")
+        ranged = suite.add_parser(name)
+        ranged.add_argument("--max-n", type=int, default=max_n)
+        ranged.set_defaults(run_suite=run_suite)
+    suite.add_parser("spectral").set_defaults(run_suite=lambda a: suites.spectral_suite())
     error_bound = suite.add_parser("error-bound")
     error_bound.add_argument("--n", type=int, required=True)
     error_bound.add_argument("--q", type=int, required=True)
     error_bound.add_argument("--r", type=float, required=True, help="parameter R >= 2")
+    error_bound.set_defaults(run_suite=lambda a: suites.error_bound_suite(a.n, a.q, a.r))
     return parser
 
 
@@ -165,26 +176,8 @@ def _cmd_survey(args) -> CommandOutcome:
 
 
 def _cmd_verify(args) -> CommandOutcome:
-    if args.suite == "ramanujan":
-        ok, message = suites.ramanujan_suite(args.max_n)
-    elif args.suite == "fourier-bounds":
-        ok, message = suites.fourier_bounds_suite(args.max_n)
-    elif args.suite == "spectral":
-        ok, message = suites.spectral_suite()
-    elif args.suite == "error-bound":
-        ok, message = suites.error_bound_suite(args.n, args.q, args.r)
-    else:
-        ok, message = suites.regression_families_suite(args.max_n)
+    ok, message = args.run_suite(args)
     return CommandOutcome(0 if ok else 2, message + "\n")
-
-
-_DISPATCH = {
-    "check": _cmd_check,
-    "count": _cmd_count,
-    "spectrum": _cmd_spectrum,
-    "survey": _cmd_survey,
-    "verify": _cmd_verify,
-}
 
 
 def run(argv: list[str]) -> CommandOutcome:
@@ -197,7 +190,7 @@ def run(argv: list[str]) -> CommandOutcome:
         code = exc.code if isinstance(exc.code, int) else 0
         return CommandOutcome(code, "")
     try:
-        return _DISPATCH[args.command](args)
+        return args.handler(args)
     except (ValueError, TypeError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandOutcome(1, "")

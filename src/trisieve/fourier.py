@@ -6,9 +6,9 @@ that expansion, split off the zero-frequency main term, measure the
 residue-class Fourier mass that controls the error term when n has a
 large prime factor, and sweep the resulting inequalities numerically.
 
-All analytic bounds use the natural logarithm. Equality-style checks run
-at 1e-6 absolute for quantities of magnitude up to phi(n), which is the
-double-precision budget of the O(n^2) summations at desk scale.
+All analytic bounds use the natural logarithm. Equality-style checks run at
+1e-6 absolute for quantities up to phi(n): the double-precision budget of
+length-n FFTs at desk scale.
 """
 
 from __future__ import annotations
@@ -93,32 +93,32 @@ def main_term(p: int, q: int, n: int) -> float:
 
 @lru_cache(maxsize=256)
 def ramanujan_table(n: int) -> tuple[int, ...]:
-    """c_n(t) for t = 0 .. n-1. The spectral double sum only ever needs
-    c_n at residues, so one table per modulus turns it into lookups."""
+    """c_n(t) for t = 0 .. n-1, exact; spectral_S weighs its convolution by it."""
     return tuple(ramanujan(n, t) for t in range(n))
+
+
+def _interval_hats(n: int, m: int) -> np.ndarray:
+    """interval_hat(n, m, k) for k = 0 .. n-1: FFT of the indicator, over n."""
+    return np.fft.fft(np.r_[0.0, np.ones(m), np.zeros(n - 1 - m)]) / n
 
 
 def spectral_S(p: int, q: int, n: int) -> SpectralDecomposition:
     """Evaluate sum_{k,l} fp_hat(k) fq_hat(l) c_n(k p + l q) and compare
     with the direct unit count.
 
-    The double sum runs over blocks of k, about 2^17 terms at a time, so
-    time stays n^2 but memory is linear in n. Raises ArithmeticError if
-    the reconstruction residual reaches 1e-6, which would indicate an
-    implementation or precision fault.
+    The sum is taken as sum_v c_n(v) (A * B)(v), where A and B push fp_hat
+    and fq_hat forward by k -> k p and l -> l q mod n and * is the cyclic
+    convolution, by FFT. Raises ArithmeticError if the residual reaches
+    1e-6, which would indicate an implementation or precision fault.
     """
     s_direct = count_S(p, q, n)
     m_value = main_term(p, q, n)
-    fp = np.array([interval_hat(n, 2 * p - 1, k) for k in range(n)])
-    fq = np.array([interval_hat(n, 2 * q - 1, k) for k in range(n)])
-    c = np.asarray(ramanujan_table(n), dtype=np.float64)
-    k = np.arange(n, dtype=np.int64)
-    lq = k * q % n
-    block = max(1, (1 << 17) // n)
-    total = 0j
-    for lo in range(0, n, block):
-        idx = ((k[lo : lo + block] * p % n)[:, None] + lq[None, :]) % n
-        total += complex(fp[lo : lo + block] @ (c[idx] @ fq))
+    spectrum = np.ones(n, dtype=np.complex128)
+    for step in (p, q):
+        hat, v = _interval_hats(n, 2 * step - 1), np.arange(n) * step % n
+        pushed = np.bincount(v, hat.real, n) + 1j * np.bincount(v, hat.imag, n)
+        spectrum *= np.fft.fft(pushed)
+    total = complex(np.fft.ifft(spectrum) @ ramanujan_table(n))
     residual = abs(total - s_direct)
     if residual >= 1e-6:
         raise ArithmeticError(
@@ -145,9 +145,9 @@ def exceptional_set(n: int, q: int, R: float) -> ExceptionalSet:
     the residue classes for p where that mass is more than R times the
     average-level threshold.
 
-    The weight is w(k) = 1/(2 min(k, n-k)); the per-class mass uses the
-    interval of width 2q-1. Requires gcd(q, P) = 1 and 2 <= R < inf.
-    Ties at the threshold stay out of the set (strict inequality).
+    The weight is w(k) = 1/(2 min(k, n-k)); class b's mass sums |f_hat(l)|
+    of the interval of width 2q-1 over l = b (mod d), one fold as d | n.
+    Requires gcd(q, P) = 1 and 2 <= R < inf; ties at the threshold stay out.
     """
     if n < 2:
         raise ValueError(f"exceptional_set needs n >= 2, got {n}")
@@ -161,7 +161,7 @@ def exceptional_set(n: int, q: int, R: float) -> ExceptionalSet:
     if not 1 <= mq <= n - 1:
         raise ValueError(f"q must satisfy 1 <= 2q-1 <= n-1, got q={q}, n={n}")
     d = P ** prof.valuation(P)
-    mass = np.array([sigma_residue(n, mq, d, b) for b in range(d)])
+    mass = np.abs(_interval_hats(n, mq)).reshape(n // d, d).sum(axis=0)
     ks = np.arange(1, n, dtype=np.int64)
     weights = 1.0 / (2.0 * np.minimum(ks, n - ks))
     threshold = 7.0 * R * (1.0 + log(n)) ** 2 / d

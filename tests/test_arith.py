@@ -1,6 +1,8 @@
 """Unit tests for the exact arithmetic layer."""
 
 import cmath
+import gc
+import tracemalloc
 from math import gcd, pi
 
 import pytest
@@ -17,6 +19,7 @@ from trisieve.arith import (
     ramanujan_oracle,
     unit_set,
 )
+from trisieve.criterion import count_S
 
 
 def brute_phi(n):
@@ -104,6 +107,18 @@ class TestUnitSet:
         for n in range(1, 120):
             for a in unit_set(n).usable:
                 assert (2 * a) % n != 2 % n
+
+    def test_cache_does_not_keep_every_modulus(self):
+        # a cache holding all 300 unit sets keeps about 8 MiB
+        tracemalloc.start()
+        try:
+            for n in range(1000, 1300):
+                count_S(1, 2, n)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20
 
 
 class TestRamanujan:

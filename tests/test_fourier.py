@@ -1,12 +1,14 @@
 """Unit tests for the spectral decomposition and bound machinery."""
 
 import cmath
+import random
 import tracemalloc
 from math import gcd, log, pi
 
 import numpy as np
 import pytest
 
+from trisieve import fourier
 from trisieve.arith import divisors, factor_profile
 from trisieve.criterion import count_S
 from trisieve.fourier import (
@@ -92,13 +94,21 @@ class TestSpectralS:
 
     def test_matches_literal_double_sum(self):
         # the n^2 double sum of the expansion, from the definitions alone
-        for n in range(5, 41):
+        cases = [(n, hard_window_pairs(n)) for n in range(5, 41)]
+        rng = random.Random(13)
+        for n in (128, 243, 300, 509):
+            pairs = hard_window_pairs(n)
+            # gcd(p, n) > 1: k -> k p mod n is not a bijection and merges terms
+            shared = [(p, q) for p, q in pairs if gcd(p, n) > 1]
+            picked = rng.sample(shared, min(5, len(shared)))
+            cases.append((n, picked + rng.sample(pairs, 10 - len(picked))))
+        for n, pairs in cases:
             x = np.arange(1, n + 1)
             k = np.arange(n)
             waves = np.exp(-2j * pi * np.outer(k, x) / n)
             units = x[np.gcd(x, n) == 1]
             c = np.cos(2 * pi * np.outer(k, units) / n).sum(axis=1)
-            for p, q in hard_window_pairs(n):
+            for p, q in pairs:
                 fp = waves[:, : 2 * p - 1].sum(axis=1) / n
                 fq = waves[:, : 2 * q - 1].sum(axis=1) / n
                 total = np.sum(fp[:, None] * fq[None, :] * c[np.add.outer(k * p, k * q) % n])
@@ -179,6 +189,39 @@ class TestExceptionalSet:
         for R in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 exceptional_set(202, 3, R)
+
+    @pytest.mark.parametrize(
+        "n, q",
+        [(60, 7), (64, 5), (250, 3), (256, 9), (300, 7), (343, 5), (509, 100), (686, 11)],
+    )
+    def test_matches_scalar_reference(self, n, q, monkeypatch):
+        prof = factor_profile(n)
+        d = prof.largest_prime ** prof.valuation(prof.largest_prime)
+        mass = [sigma_residue(n, 2 * q - 1, d, b) for b in range(d)]
+        reference = {
+            u: sum(mass[u * k % d] / (2 * min(k, n - k)) for k in range(1, n))
+            for u in range(1, d)
+            if gcd(u, d) == 1
+        }
+        exc = exceptional_set(n, q, 2.0)
+        assert exc.d == d
+        assert exc.s_values.keys() == reference.keys()
+        for u, s in reference.items():
+            assert exc.s_values[u] == pytest.approx(s, rel=1e-9), u
+        # the sets are empty at desk scale, so lower the threshold through log:
+        # 7 R (1 + log n)^2 / d at R = 2 becomes the midpoint of the first
+        # clear gap in the sorted masses from the median up
+        values = sorted(reference.values())
+        i = next(
+            i
+            for i in range(len(values) // 2, len(values))
+            if values[i] - values[i - 1] > 1e-6 * values[i]
+        )
+        cut = (values[i - 1] + values[i]) / 2
+        monkeypatch.setattr(fourier, "log", lambda x: (cut * d / 14.0) ** 0.5 - 1.0)
+        expected = {(-q * u) % d for u, s in reference.items() if s > cut}
+        assert 0 < len(expected) < len(reference)
+        assert exceptional_set(n, q, 2.0).members == expected
 
     def test_members_are_negated_multiples(self):
         n, q, R = 202, 3, 2.0
