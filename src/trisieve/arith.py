@@ -36,7 +36,6 @@ class FactorProfile:
     (absent for n = 1). ``factors`` lists (prime, exponent) pairs with
     primes strictly increasing."""
 
-    n: int
     factors: tuple[tuple[int, int], ...]
     totient: int
     moebius: int
@@ -73,7 +72,7 @@ def factor_profile(n: int) -> FactorProfile:
         totient *= (p - 1) * p ** (e - 1)
     moebius = 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
     largest = factors[-1][0] if factors else None
-    return FactorProfile(n, tuple(factors), totient, moebius, largest)
+    return FactorProfile(tuple(factors), totient, moebius, largest)
 
 
 def divisors(n: int) -> tuple[int, ...]:

@@ -100,28 +100,26 @@ def find_witness(p: int, q: int, n: int, mode: str = MODE_TWO_PQ) -> WitnessRepo
 
 
 def _word_rows(n: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row x (lo <= x <= n - 2*lo) of an n x ceil(n/64) uint64 array has
-    bit a set iff a is a unit mod n with [a*x]_n < [2*x]_n; the other rows,
-    which no window pair with p, q >= lo reads, stay empty. Also returns
-    the row of usable units. Only ANDs, ORs and popcounts read the rows,
-    so the byte order inside a word does not matter."""
+    """Row x (lo <= x <= n - 2*lo) of an n x ceil(phi(n)/64) uint64 array
+    has bit i set iff the i-th unit u_i of unit_set(n).members meets
+    [u_i*x]_n < [2*x]_n; the other rows, which no window pair with
+    p, q >= lo reads, stay empty. Also returns the row of usable units in
+    the same bit order. Only ANDs, ORs and popcounts read the rows, so
+    neither the unit order nor the byte order inside a word matters."""
     units = unit_set(n)
     u = np.asarray(units.members, dtype=np.int64)
-    width = 64 * -(-n // 64)
-    rows = np.zeros((n, width // 64), dtype=np.uint64)
-    block = max(1, (1 << 18) // width)  # about 2**18 dense cells per block
+    rows = np.zeros((n, -(-u.size // 64)), dtype=np.uint64)
+    block = max(1, (1 << 18) // n)  # at most 2**18 residues per block
     for first in range(lo, n - 2 * lo + 1, block):
         xs = np.arange(first, min(first + block, n - 2 * lo + 1), dtype=np.int64)
-        # the row stride is an odd multiple of 64 bytes: at a stride of 2048
-        # (n = 1985..2048) the column scatter below ran about 40 % slower
-        dense = np.zeros((xs.size, width | 64), dtype=bool)[:, :width]
         residues = np.multiply.outer(xs, u)
         residues %= n  # in place: a fresh int64 block here took twice as long
-        dense[:, u] = residues < ((2 * xs) % n)[:, None]
-        packed = np.packbits(dense, axis=1, bitorder="little")
-        rows[first : first + xs.size] = packed.view(np.uint64)
-    usable = np.zeros(width, dtype=bool)
-    usable[list(units.usable)] = True
+        below = residues < ((2 * xs) % n)[:, None]
+        del residues  # else the next block is made while this one is alive
+        packed = np.packbits(below, axis=1, bitorder="little")
+        rows.view(np.uint8)[first : first + xs.size, : packed.shape[1]] = packed
+    usable = np.zeros(64 * rows.shape[1], dtype=bool)
+    usable[: u.size] = np.isin(u, units.usable)
     return rows, np.packbits(usable, bitorder="little").view(np.uint64)
 
 

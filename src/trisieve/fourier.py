@@ -30,9 +30,6 @@ class SpectralDecomposition:
     M = (2p-1)(2q-1) phi(n) / n^2, the error term E = S - M, the full
     character-sum evaluation, and the reconstruction residual."""
 
-    p: int
-    q: int
-    n: int
     s_direct: int
     main_term: float
     error_term: float
@@ -129,7 +126,7 @@ def spectral_S(p: int, q: int, n: int) -> SpectralDecomposition:
             f"residual {residual:.3e}"
         )
     return SpectralDecomposition(
-        p, q, n, s_direct, m_value, s_direct - m_value, total.real, residual
+        s_direct, m_value, s_direct - m_value, total.real, residual
     )
 
 

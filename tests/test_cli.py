@@ -127,8 +127,11 @@ class TestSurveyCommand:
             assert "workers must be at least 1" in capsys.readouterr().err
 
     def test_matches_stored_references(self, capsys):
-        # one denominator of each stored benchmark reference, byte for byte
-        for workload, n in (("survey-prime", 1901), ("survey-cut", 1900), ("deep-audit", 487)):
+        # denominators of each stored benchmark reference, byte for byte;
+        # phi(n) is a multiple of 64 at n = 1920, 2048 and 2113
+        cases = [("survey-prime", n) for n in (1901, 2113)]
+        cases += [("survey-cut", n) for n in (1900, 1920, 2048, 2100)]
+        for workload, n in cases + [("deep-audit", 487)]:
             doc = json.loads((REFERENCE / f"{workload}.json").read_text(encoding="utf-8"))
             argv = ["--threads", "1", "survey", "--min", str(n), "--max", str(n)]
             outcome = cli.run(argv + doc["flags"])

@@ -163,19 +163,23 @@ class TestBatchSurvey:
             sweep_window(4)
 
     def test_word_rows_match_definition(self):
-        # rows of n = 1999 and 2048 are 2048 bits wide, where the dense block
-        # that builds them is padded; only rows lo .. n - 2*lo are built
-        for n in [*range(5, 80), 1999, 2048]:
+        # phi(n) is a multiple of 64 at n = 85, 128, 255, 256 and 2113, so
+        # their rows have no spare bits; only rows lo .. n - 2*lo are built
+        for n in [*range(5, 80), 85, 128, 255, 256, 1999, 2048, 2113]:
+            units = unit_set(n)
+            u = np.array(units.members)
             for lo in (1, _window_lo(n, Fraction(1, 7))):
                 rows, usable = _word_rows(n, lo)
+                assert rows.shape == (n, -(-u.size // 64)), (n, lo)
                 bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
-                a = np.arange(bits.shape[1])
                 x = np.arange(n)[:, None]
-                want = (a < n) & (np.gcd(a, n) == 1) & ((a * x) % n < (2 * x) % n)
-                want &= (lo <= x) & (x <= n - 2 * lo)
-                assert np.array_equal(bits.astype(bool), want), (n, lo)
+                want = ((u * x) % n < (2 * x) % n) & (lo <= x) & (x <= n - 2 * lo)
+                assert np.array_equal(bits[:, : u.size].astype(bool), want), (n, lo)
+                assert not bits[:, u.size :].any(), (n, lo)
                 usable_bits = np.unpackbits(usable.view(np.uint8), bitorder="little")
-                assert np.flatnonzero(usable_bits).tolist() == list(unit_set(n).usable)
+                assert usable_bits.size == bits.shape[1], (n, lo)
+                assert not usable_bits[u.size :].any(), (n, lo)
+                assert u[np.flatnonzero(usable_bits)].tolist() == list(units.usable)
 
     def test_prime_survivors(self):
         # a prime n other than 11 leaves three pairs unruled by two of three

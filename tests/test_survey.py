@@ -8,7 +8,7 @@ from math import ceil, log
 import numpy as np
 import pytest
 
-from trisieve import survey
+from trisieve import fourier, survey
 from trisieve.arith import factor_profile, is_prime, unit_set
 from trisieve.criterion import sweep_window
 from trisieve.fourier import ExceptionalSet, exceptional_set
@@ -225,6 +225,31 @@ class TestSurveyN:
             e_n = survey_n(*case, deep_audit=True).e_n
             assert e_n == table_e_n(*case, fake_classes), case
             assert e_n != real[case], case
+
+    def test_deep_audit_lowered_threshold(self, monkeypatch):
+        # the real sets are empty here, so lower the threshold through log:
+        # 7 R (1 + log n)^2 / d becomes the median S(u) over every q and unit;
+        # a tie at it cannot split the two counts, which read the same sets
+        cases = [(n, eta) for n in (97, 250, 300) for eta in (0, Fraction(1, 7))]
+        real = {case: survey_n(*case, deep_audit=True).e_n for case in cases}
+        for n in (97, 250, 300):
+            prof = factor_profile(n)
+            P = prof.largest_prime
+            d = P ** prof.valuation(P)
+            R = ceil(log(n))
+            masses = [
+                s
+                for q in range(1, (n - 3) // 2 + 1)
+                if q % P
+                for s in exceptional_set(n, q, R).s_values.values()
+            ]
+            log_n = (float(np.median(masses)) * d / (7.0 * R)) ** 0.5 - 1.0
+            monkeypatch.setattr(fourier, "log", lambda x: log_n)
+            for eta in (0, Fraction(1, 7)):
+                e_n = survey_n(n, eta, deep_audit=True).e_n
+                assert e_n == table_e_n(n, eta), (n, eta)
+                assert e_n != real[n, eta], (n, eta)
+            monkeypatch.undo()
 
     def test_memory_is_linear_in_n(self):
         # tallying a table with one row per window pair peaks at 41 MiB
