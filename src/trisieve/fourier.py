@@ -64,6 +64,12 @@ class ExceptionalSet:
     members: frozenset[int]
     s_values: dict[int, float]
 
+    def excludes(self, p: np.ndarray) -> np.ndarray:
+        """Elementwise over an int64 array of p: True where the refined bound
+        leaves p out, that is P | p or p mod d is an exceptional class. As d
+        is a power of P, P | p exactly when gcd(p, d) > 1."""
+        return (np.gcd(p, self.d) > 1) | np.isin(p % self.d, list(self.members))
+
 
 def interval_hat(n: int, m: int, k: int) -> complex:
     """Fourier coefficient (1/n) * sum_{x=1}^{m} exp(-2 pi i k x / n) of
@@ -179,8 +185,8 @@ def verify_error_bound(n: int, q: int, R: float) -> BoundCheck:
     """Sweep every admissible p and check
     |S(p, q) - M(p, q)| <= 9 R phi(n) (1 + log n)^2 / P.
 
-    Admissible: (p, q) in the window, gcd(p, P) = 1, and p mod d outside
-    the exceptional classes for q. Passes iff the worst ratio is <= 1.
+    Admissible: (p, q) in the window, gcd(p, q, n) = 1, and p not excluded
+    by the exceptional set for q. Passes iff the worst ratio is <= 1.
     Raises ValueError unless 2(q + 1) < n, below which the window holds
     no p for q and the sweep would pass with nothing checked.
     """
@@ -189,16 +195,9 @@ def verify_error_bound(n: int, q: int, R: float) -> BoundCheck:
     exc = exceptional_set(n, q, R)
     prof = factor_profile(n)
     bound = 9.0 * R * prof.totient * (1.0 + log(n)) ** 2 / prof.largest_prime
-    checked = 0
-    max_ratio = 0.0
-    for p in range(1, (n - 2 * q - 1) // 2 + 1):
-        if p % prof.largest_prime == 0:
-            continue
-        if gcd(p, q, n) != 1 or p % exc.d in exc.members:
-            continue
-        err = count_S(p, q, n) - main_term(p, q, n)
-        ratio = abs(err) / bound
-        checked += 1
-        max_ratio = max(max_ratio, ratio)
-    return BoundCheck(checked, max_ratio, max_ratio <= 1.0, exc)
+    p = np.arange(1, (n - 2 * q - 1) // 2 + 1)
+    p = p[(np.gcd(p, gcd(q, n)) == 1) & ~exc.excludes(p)].tolist()
+    ratios = [abs(count_S(x, q, n) - main_term(x, q, n)) / bound for x in p]
+    max_ratio = max(ratios, default=0.0)
+    return BoundCheck(len(ratios), max_ratio, max_ratio <= 1.0, exc)
 

@@ -121,13 +121,10 @@ def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
 
 def _exceptional_pairs(n: int, lo: int) -> int:
     """Size of the exceptional pair region among the window pairs (p, q)
-    with p, q >= lo: those with gcd(q, P) = 1 where either P | p or p mod d
-    lands in the exceptional classes for q at R = ceil(log n), which is at
-    least 2 because n >= 5. The classes depend on q alone, so the pairs are
-    counted one q at a time."""
-    prof = factor_profile(n)
-    P = prof.largest_prime
-    d = P ** prof.valuation(P)
+    with p, q >= lo: those with gcd(q, P) = 1 whose p the exceptional set of
+    q at R = ceil(log n) excludes; R is at least 2 because n >= 5. The set
+    depends on q alone, so the pairs are counted one q at a time."""
+    P = factor_profile(n).largest_prime
     R = ceil(log(n))
     count = 0
     for q in range(lo, (n - 2 * lo - 1) // 2 + 1):
@@ -135,8 +132,7 @@ def _exceptional_pairs(n: int, lo: int) -> int:
             continue
         p = np.arange(lo, (n - 2 * q - 1) // 2 + 1)
         p = p[np.gcd(p, gcd(q, n)) == 1]
-        members = list(exceptional_set(n, q, R).members)
-        count += int(((p % P == 0) | np.isin(p % d, members)).sum())
+        count += int(exceptional_set(n, q, R).excludes(p).sum())
     return count
 
 

@@ -155,9 +155,22 @@ class TestVerifyCommand:
         assert "closed form = oracle" in outcome.stdout_payload
 
     def test_error_bound_suite(self):
-        outcome = cli.run(["verify", "error-bound", "--n", "101", "--q", "2", "--r", "2"])
-        assert outcome.exit_code == 0
-        assert "max ratio" in outcome.stdout_payload
+        for argv, line in (
+            ("101 2 2", "n=101 q=2 R=2.0: max ratio 0.005182 over 48 admissible p; "
+             "exceptional classes 0 (cap 50.00)"),
+            ("202 3 2", "n=202 q=3 R=2.0: max ratio 0.004144 over 97 admissible p; "
+             "exceptional classes 0 (cap 50.00)"),
+            ("300 7 2", "n=300 q=7 R=2.0: max ratio 0.000297 over 114 admissible p; "
+             "exceptional classes 0 (cap 10.00)"),
+            ("250 3 3", "n=250 q=3 R=3.0: max ratio 0.000085 over 97 admissible p; "
+             "exceptional classes 0 (cap 33.33)"),
+            ("1009 100 2", "n=1009 q=100 R=2.0: max ratio 0.141782 over 404 admissible p; "
+             "exceptional classes 0 (cap 504.00)"),
+        ):
+            n, q, r = argv.split()
+            outcome = cli.run(["verify", "error-bound", "--n", n, "--q", q, "--r", r])
+            assert outcome.exit_code == 0
+            assert outcome.stdout_payload == f"error bound {line}\n"
 
     def test_error_bound_needs_params(self, capsys):
         for argv in (["verify", "error-bound"], ["verify", "error-bound", "--n", "101"]):

@@ -12,6 +12,7 @@ from trisieve import fourier
 from trisieve.arith import divisors, factor_profile
 from trisieve.criterion import count_S
 from trisieve.fourier import (
+    ExceptionalSet,
     exceptional_set,
     interval_hat,
     main_term,
@@ -223,6 +224,17 @@ class TestExceptionalSet:
         assert 0 < len(expected) < len(reference)
         assert exceptional_set(n, q, 2.0).members == expected
 
+    def test_excludes_multiples_of_P_and_member_classes(self):
+        exc = ExceptionalSet(25, frozenset({3, 7}), {})
+        p = np.array([5, 10, 3, 28, 7, 32, 1, 2], dtype=np.int64)
+        assert exc.excludes(p).tolist() == [True] * 6 + [False] * 2
+
+    @pytest.mark.parametrize("d, P", [(25, 5), (97, 97)])
+    def test_excludes_only_multiples_of_P_without_members(self, d, P):
+        p = np.arange(1, 3 * d + 1, dtype=np.int64)
+        excluded = ExceptionalSet(d, frozenset(), {}).excludes(p)
+        assert excluded.tolist() == (p % P == 0).tolist()
+
     def test_members_are_negated_multiples(self):
         n, q, R = 202, 3, 2.0
         exc = exceptional_set(n, q, R)
@@ -245,17 +257,28 @@ class TestErrorBoundVerification:
         assert check.passed
         assert check.checked > 0
 
-    def test_skips_exceptional_and_divisible(self):
-        n, q, R = 202, 3, 2.0
-        exc = exceptional_set(n, q, R)
-        check = verify_error_bound(n, q, R)
-        admissible = [
-            p
-            for p in range(1, (n - 2 * q - 1) // 2 + 1)
-            if p % 101 != 0 and gcd(gcd(p, q), n) == 1 and p % exc.d not in exc.members
-        ]
-        assert check.checked == len(admissible)
-        assert check.exceptional == exc
+    def test_skips_exceptional_and_divisible(self, monkeypatch):
+        R = 2.0
+        for n, q in [(202, 3), (97, 2), (243, 5), (250, 3), (300, 7)]:
+            unpatched = verify_error_bound(n, q, R).checked
+            exc = exceptional_set(n, q, R)
+            d, median = exc.d, float(np.median(list(exc.s_values.values())))
+            with monkeypatch.context() as m:
+                # the sets are empty at desk scale, so lower the threshold through
+                # log: 7 R (1 + log n)^2 / d at R = 2 becomes the median S(u)
+                m.setattr(fourier, "log", lambda x: (median * d / 14.0) ** 0.5 - 1.0)
+                exc = exceptional_set(n, q, R)
+                check = verify_error_bound(n, q, R)
+            assert exc.members, (n, q)
+            P = factor_profile(n).largest_prime
+            admissible = [
+                p
+                for p in range(1, (n - 2 * q - 1) // 2 + 1)
+                if p % P != 0 and gcd(gcd(p, q), n) == 1 and p % exc.d not in exc.members
+            ]
+            assert check.checked == len(admissible), (n, q)
+            assert check.checked < unpatched, (n, q)
+            assert check.exceptional == exc, (n, q)
 
     def test_rejects_q_without_window_pair(self):
         assert verify_error_bound(101, 49, 2.0).checked == 1

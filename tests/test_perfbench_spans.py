@@ -4,11 +4,13 @@ here that every name it lists still exists."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -31,3 +33,14 @@ def test_every_cached_name_exposes_cache_info(spans):
     for module_name, attr, _ in spans.CACHED:
         fn = getattr(importlib.import_module(module_name), attr, None)
         assert callable(getattr(fn, "cache_info", None)), f"{module_name}.{attr}"
+
+
+def test_every_tracer_only_import_is_wrapped(spans):
+    # an import kept only for the tracer to rebind is dead once WRAPPED drops it
+    wrapped = {(module_name, attr) for module_name, attr, _ in spans.WRAPPED}
+    for path in sorted((ROOT / "src" / "trisieve").glob("*.py")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if "noqa: F401" in line and "perfbench/spans.py rebinds" in line:
+                match = re.match(r"from \.\w+ import (\w+)\s", line)
+                assert match, f"{path.name}: {line}"
+                assert (f"trisieve.{path.stem}", match[1]) in wrapped, f"{path.name}: {line}"
