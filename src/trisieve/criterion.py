@@ -99,28 +99,25 @@ def find_witness(p: int, q: int, n: int, mode: str = MODE_TWO_PQ) -> WitnessRepo
     return WitnessReport(triangle, witness is not None, witness, held, count_S(p, q, n))
 
 
-def _word_rows(n: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row x (lo <= x <= n - 2*lo) of an n x ceil(phi(n)/64) uint64 array
-    has bit i set iff the i-th unit u_i of unit_set(n).members meets
+def _word_rows(n: int, lo: int) -> np.ndarray:
+    """Row x (lo <= x <= n - 2*lo) of an n x ceil(|usable|/64) uint64 array
+    has bit i set iff the i-th usable unit u_i of unit_set(n).usable meets
     [u_i*x]_n < [2*x]_n; the other rows, which no window pair with
-    p, q >= lo reads, stay empty. Also returns the row of usable units in
-    the same bit order. Only ANDs, ORs and popcounts read the rows, so
-    neither the unit order nor the byte order inside a word matters."""
-    units = unit_set(n)
-    u = np.asarray(units.members, dtype=np.int64)
+    p, q >= lo reads, stay empty. Only ANDs, ORs and popcounts read the
+    rows, so neither the unit order nor the byte order inside a word
+    matters. Residues are int32 while n*n fits, which halves their bytes."""
+    u = np.asarray(unit_set(n).usable, dtype=np.int32 if n * n < 2**31 else np.int64)
     rows = np.zeros((n, -(-u.size // 64)), dtype=np.uint64)
     block = max(1, (1 << 18) // n)  # at most 2**18 residues per block
     for first in range(lo, n - 2 * lo + 1, block):
-        xs = np.arange(first, min(first + block, n - 2 * lo + 1), dtype=np.int64)
+        xs = np.arange(first, min(first + block, n - 2 * lo + 1), dtype=u.dtype)
         residues = np.multiply.outer(xs, u)
-        residues %= n  # in place: a fresh int64 block here took twice as long
+        residues %= n  # in place: a fresh block here took twice as long
         below = residues < ((2 * xs) % n)[:, None]
         del residues  # else the next block is made while this one is alive
         packed = np.packbits(below, axis=1, bitorder="little")
         rows.view(np.uint8)[first : first + xs.size, : packed.shape[1]] = packed
-    usable = np.zeros(64 * rows.shape[1], dtype=bool)
-    usable[: u.size] = np.isin(u, units.usable)
-    return rows, np.packbits(usable, bitorder="little").view(np.uint64)
+    return rows
 
 
 def _half_window(
@@ -134,25 +131,23 @@ def _half_window(
     in p and q (r = n - p - q is too), so these blocks decide every window
     pair. Unit-major: the bit rows are built once, then each pair costs a
     few word-wise ANDs, ORs and popcounts over contiguous slices of the rows.
+    The rows hold usable units only; the other units add one to S and no
+    verdict: unit 1 meets the p- and q-inequalities ([p]_n = p < 2p), and
+    1 + n/2, a unit when 4 | n, meets the x-inequality for even x only,
+    which gcd(p, q, n) = 1 forbids for p and q together.
     """
-    rows, usable = _word_rows(n, lo)
+    rows = _word_rows(n, lo)
     for x in range(lo, (n - 1) // 4 + 1):  # p <= q and p + q < n/2 need 4p < n
         q_hi = (n - 2 * x - 1) // 2
         # the rows q = x .. q_hi and, in the same order, r = n - x - q
         row_q = rows[x : q_hi + 1]
         row_r = rows[n - x - q_hi : n - 2 * x + 1][::-1]
-        both = row_q & rows[x]
-        # bitwise majority: the units meeting at least two of the three
-        two_of_three = both | (row_q | rows[x]) & row_r
+        hits = np.bitwise_count(row_q & rows[x]).sum(axis=1, dtype=np.int64)
+        # a usable unit meets two of the three: p and q, or r and p or q
+        two_of_three = (hits > 0) | ((row_q | rows[x]) & row_r).any(axis=1)
         q = np.arange(x, q_hi + 1)
-        keep = np.gcd(q, gcd(x, n)) == 1
-        yield (
-            x,
-            q[keep],
-            np.bitwise_count(both).sum(axis=1)[keep],
-            (both & usable).any(axis=1)[keep],
-            (two_of_three & usable).any(axis=1)[keep],
-        )
+        keep = slice(None) if gcd(x, n) == 1 else np.gcd(q, gcd(x, n)) == 1
+        yield x, q[keep], hits[keep] + 1, hits[keep] > 0, two_of_three[keep]
 
 
 def sweep_window(n: int, eta=0) -> np.ndarray:

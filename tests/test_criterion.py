@@ -12,6 +12,7 @@ from trisieve.arith import factor_profile, is_prime, unit_set
 from trisieve.criterion import (
     MODE_TWO_OF_THREE,
     MODE_TWO_PQ,
+    _half_window,
     _word_rows,
     count_S,
     find_witness,
@@ -163,23 +164,58 @@ class TestBatchSurvey:
             sweep_window(4)
 
     def test_word_rows_match_definition(self):
-        # phi(n) is a multiple of 64 at n = 85, 128, 255, 256 and 2113, so
-        # their rows have no spare bits; only rows lo .. n - 2*lo are built
+        # one bit per usable unit; |usable| is phi(n) - 1 or, when 4 | n,
+        # phi(n) - 2, never a multiple of 64 for n >= 5, so every row has a
+        # spare bit; only rows lo .. n - 2*lo are built
         for n in [*range(5, 80), 85, 128, 255, 256, 1999, 2048, 2113]:
-            units = unit_set(n)
-            u = np.array(units.members)
+            u = np.array(unit_set(n).usable)
             for lo in (1, _window_lo(n, Fraction(1, 7))):
-                rows, usable = _word_rows(n, lo)
+                rows = _word_rows(n, lo)
                 assert rows.shape == (n, -(-u.size // 64)), (n, lo)
+                assert u.size % 64 != 0, n
                 bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
                 x = np.arange(n)[:, None]
                 want = ((u * x) % n < (2 * x) % n) & (lo <= x) & (x <= n - 2 * lo)
                 assert np.array_equal(bits[:, : u.size].astype(bool), want), (n, lo)
                 assert not bits[:, u.size :].any(), (n, lo)
-                usable_bits = np.unpackbits(usable.view(np.uint8), bitorder="little")
-                assert usable_bits.size == bits.shape[1], (n, lo)
-                assert not usable_bits[u.size :].any(), (n, lo)
-                assert u[np.flatnonzero(usable_bits)].tolist() == list(units.usable)
+
+    def test_word_rows_int64_residues(self):
+        # n * n >= 2**31 takes the int64 residue path; lo = n // 3 - 1
+        # leaves the five rows 29999 .. 30003, where x * u passes 2**31
+        n = 90001
+        lo = n // 3 - 1
+        u = np.array(unit_set(n).usable, dtype=np.int64)
+        rows = _word_rows(n, lo)
+        assert rows.shape == (n, -(-u.size // 64))
+        bits = np.unpackbits(
+            rows[lo - 1 : n - 2 * lo + 2].view(np.uint8), axis=1, bitorder="little"
+        )
+        x = np.arange(lo - 1, n - 2 * lo + 2)[:, None]
+        want = ((u * x) % n < (2 * x) % n) & (lo <= x) & (x <= n - 2 * lo)
+        assert np.array_equal(bits[:, : u.size].astype(bool), want)
+        assert not bits[:, u.size :].any()
+
+    def test_kernel_columns_are_int64(self):
+        # in_region_C needs exact int64 products up to (2n)**2
+        for n in (23, 60, 2003):
+            for x, q, s_count, _, _ in _half_window(n, 1):
+                assert q.dtype == s_count.dtype == np.int64, (n, x)
+
+    def test_left_out_units_add_one_to_s(self):
+        # the bit rows leave out unit 1, which meets the p- and
+        # q-inequalities of every window pair, and 1 + n/2 (a unit when
+        # 4 | n), which meets both for no window pair: so s_count is the
+        # usable hits plus one and two_pq holds exactly when s_count >= 2
+        for n in range(5, 401):
+            meets_1 = {x for x in range(1, n) if ineq_holds(1, x, n)}
+            meets_h = set()
+            if n % 4 == 0:
+                meets_h = {x for x in range(1, n) if ineq_holds(1 + n // 2, x, n)}
+            for p, q in hard_window_pairs(n):
+                assert p in meets_1 and q in meets_1, (n, p, q)
+                assert not (p in meets_h and q in meets_h), (n, p, q)
+            table = sweep_window(n)
+            assert np.array_equal(table["ruled_two_pq"], table["s_count"] >= 2), n
 
     def test_prime_survivors(self):
         # a prime n other than 11 leaves three pairs unruled by two of three

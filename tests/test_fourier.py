@@ -235,6 +235,27 @@ class TestExceptionalSet:
         excluded = ExceptionalSet(d, frozenset(), {}).excludes(p)
         assert excluded.tolist() == (p % P == 0).tolist()
 
+    @pytest.mark.parametrize(
+        "n, q, members, top, threshold",
+        [
+            (20011, 4201, {4201, 15810}, 0.43147, 0.41591),
+            (16001, 4642, set(), 0.43147, 0.49903),
+        ],
+        ids=["20011", "16001"],
+    )
+    def test_onset_at_prime_n(self, n, q, members, top, threshold):
+        # the exceptional set of a prime n turns on between these two: over
+        # q, the largest S(1) is 0.87 of the threshold 7 R (1 + log n)^2 / n
+        # at n = 16001 and 1.04 of it at 20011, where members are {q, n - q}
+        R = 10  # ceil(log n) at both
+        exc = exceptional_set(n, q, R)
+        assert exc.d == n
+        assert exc.members == members
+        assert 7 * R * (1 + log(n)) ** 2 / n == pytest.approx(threshold, abs=1e-5)
+        assert exc.s_values[1] == pytest.approx(top, abs=1e-5)
+        assert exc.s_values[n - 1] == pytest.approx(top, abs=1e-5)
+        assert max(exc.s_values.values()) == pytest.approx(top, abs=1e-5)
+
     def test_members_are_negated_multiples(self):
         n, q, R = 202, 3, 2.0
         exc = exceptional_set(n, q, R)
