@@ -125,11 +125,12 @@ def build_parser() -> _Parser:
 
 def _cmd_check(args) -> CommandOutcome:
     report = find_witness(args.p, args.q, args.n, args.mode.replace("-", "_"))
+    s = count_S(args.p, args.q, args.n)
     if report.ruled_out:
         held = ",".join(report.inequalities_held)
-        line = f"RULED OUT  witness={report.witness}  ineqs={held}  S={report.s_count}"
+        line = f"RULED OUT  witness={report.witness}  ineqs={held}  S={s}"
     else:
-        line = f"NOT RULED OUT  S={report.s_count}"
+        line = f"NOT RULED OUT  S={s}"
     return CommandOutcome(0, line + "\n")
 
 

@@ -11,7 +11,7 @@ from typing import Iterator
 import numpy as np
 
 from .arith import unit_set
-from .triangle import TriangleParams, _window_lo
+from .triangle import _window_lo
 from .triangle import hard_window_pairs  # noqa: F401  unused; perfbench/spans.py rebinds it
 
 MODE_TWO_PQ = "two_pq"
@@ -20,15 +20,13 @@ MODE_TWO_OF_THREE = "two_of_three"
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Outcome of the obstruction test for one triangle: whether it is
+    """Outcome of the obstruction search for one triangle: whether it is
     ruled out, by which (smallest) usable unit, and which of the p/q/r
-    inequalities that unit satisfies."""
+    inequalities that unit satisfies. S(p, q) is count_S's."""
 
-    triangle: TriangleParams
     ruled_out: bool
     witness: int | None
     inequalities_held: tuple[str, ...]
-    s_count: int
 
 
 def ineq_holds(a: int, x: int, n: int) -> bool:
@@ -66,7 +64,7 @@ def find_witness(p: int, q: int, n: int, mode: str = MODE_TWO_PQ) -> WitnessRepo
     output deterministic and diff-stable.
 
     mode "two_pq" demands the p- and q-inequalities; "two_of_three"
-    accepts any two of the p/q/r inequalities.
+    accepts any two of the p/q/r inequalities. S(p, q) is count_S's pass.
     """
     if mode not in (MODE_TWO_PQ, MODE_TWO_OF_THREE):
         raise ValueError(f"mode must be two_pq or two_of_three, got {mode!r}")
@@ -95,8 +93,7 @@ def find_witness(p: int, q: int, n: int, mode: str = MODE_TWO_PQ) -> WitnessRepo
         witness = a
         held = tuple(tag for tag, flag in (("p", hp), ("q", hq), ("r", hr)) if flag)
         break
-    triangle = TriangleParams(p, q, r, n)
-    return WitnessReport(triangle, witness is not None, witness, held, count_S(p, q, n))
+    return WitnessReport(witness is not None, witness, held)
 
 
 def _word_rows(n: int, lo: int) -> np.ndarray:

@@ -159,8 +159,8 @@ def survey_range(
     denominators whose largest prime factor clears the n**(1/log log n)
     threshold. Deep audits fix R at ceil(log n), as survey_n does; it is
     not a parameter. With workers > 1 the denominators are distributed
-    across at most min(workers, number of denominators, CPU count)
-    processes; the output order and content do not depend on workers.
+    across at most min(workers, number of denominators, CPUs the process
+    may run on) processes; output order and content do not depend on workers.
     """
     if not 5 <= n_min <= n_max:
         raise ValueError(f"need 5 <= n_min <= n_max, got [{n_min}, {n_max}]")
@@ -170,7 +170,9 @@ def survey_range(
         raise ValueError(f"workers must be at least 1, got {workers}")
     ns = [n for n in range(n_min, n_max + 1) if _admits(filter, n)]
     job = partial(survey_n, eta=eta, deep_audit=deep_audit)
-    pool_size = min(workers, len(ns), os.cpu_count() or 1)
+    # the CPUs this process may run on, not all the machine has
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool_size = min(workers, len(ns), cpus or 1)
     if pool_size <= 1:
         for n in ns:
             yield job(n)

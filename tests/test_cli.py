@@ -1,5 +1,6 @@
 """Tests for the command-line surface: grammar, output, exit codes."""
 
+import importlib.util
 import json
 from math import gcd
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 from trisieve import cli
 from trisieve.survey import CSV_HEADER
 
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REFERENCE = PERFBENCH / "reference"
 
 
 def brute_count(p, q, n):
@@ -62,6 +64,50 @@ class TestCountAndSpectrum:
         assert float(parts["M"]) == pytest.approx(2178 / 529, abs=1e-6)
         assert float(parts["E"]) == pytest.approx(3 - 2178 / 529, abs=1e-6)
         assert float(parts["residual"]) < 1e-6
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """The benchmark's brute-force pointwise oracle, which shares no code
+    with trisieve; loaded read-only by path."""
+    path = PERFBENCH / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPointwiseOracle:
+    # survivors, witnesses by p and q or by r (4 | n among them), S up to
+    # 253, a prime and a primorial denominator
+    PAIRS = (
+        (5, 6, 23),
+        (1, 4, 12),
+        (1, 2, 7),
+        (1, 5, 20),
+        (3, 5, 64),
+        (7, 30, 97),
+        (100, 101, 1000),
+        (1, 1, 1009),
+        (250, 251, 1009),
+        (13, 17, 2310),
+    )
+
+    @pytest.mark.parametrize("p, q, n", PAIRS)
+    def test_output_matches_oracle(self, oracle, p, q, n):
+        pair = [str(p), str(q), str(n)]
+        for kind, *flags in (("check", "--mode", "two-of-three"), ("count",), ("spectrum",)):
+            argv = ["--threads", "1", kind, *pair, *flags]
+            outcome = cli.run(argv)
+            assert outcome.exit_code == 0, argv
+            assert oracle.pointwise_ok(argv, outcome.stdout_payload), (argv, outcome)
+
+    @pytest.mark.parametrize("p, q, n", PAIRS)
+    def test_check_s_is_count(self, p, q, n):
+        pair = [str(p), str(q), str(n)]
+        line = cli.run(["--threads", "1", "check", *pair]).stdout_payload
+        count = cli.run(["--threads", "1", "count", *pair]).stdout_payload
+        assert line.endswith(f"  S={count}"), (line, count)
 
 
 class TestSurveyCommand:

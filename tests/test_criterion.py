@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trisieve import criterion
 from trisieve.arith import factor_profile, is_prime, unit_set
 from trisieve.criterion import (
     MODE_TWO_OF_THREE,
@@ -82,8 +83,7 @@ class TestFindWitness:
         assert report.ruled_out
         assert report.witness == 5
         assert set(report.inequalities_held) >= {"p", "q"}
-        assert report.s_count == 3
-        assert (report.triangle.p, report.triangle.q, report.triangle.r) == (5, 6, 12)
+        assert count_S(5, 6, 23) == 3
 
     def test_hooper_survives(self):
         report = find_witness(1, 4, 12, MODE_TWO_OF_THREE)
@@ -139,6 +139,22 @@ class TestFindWitness:
                             assert {"p", "q"} <= set(report.inequalities_held)
                     else:
                         assert report.witness is None
+
+    def test_search_does_not_count(self, monkeypatch):
+        # S(p, q) is count_S's own pass; the witness search never needs it
+        def no_count(p, q, n):
+            raise AssertionError(f"find_witness counted S({p}, {q}) mod {n}")
+
+        monkeypatch.setattr(criterion, "count_S", no_count)
+        expected = {
+            (5, 6, 23): (True, 5, ("p", "q")),
+            (1, 4, 12): (False, None, ()),
+            (1, 1, 9): (False, None, ()),
+        }
+        for (p, q, n), outcome in expected.items():
+            for mode in (MODE_TWO_PQ, MODE_TWO_OF_THREE):
+                report = find_witness(p, q, n, mode)
+                assert (report.ruled_out, report.witness, report.inequalities_held) == outcome
 
     def test_precondition_errors(self):
         with pytest.raises(ValueError, match="obtuse"):
@@ -241,7 +257,7 @@ class TestBatchSurvey:
                 for (p, q), ruled_out, ge5 in zip(pairs, ruled, s_ge5):
                     report = find_witness(p, q, n, mode)
                     assert ruled_out == report.ruled_out
-                    assert ge5 == (report.s_count >= 5)
+                    assert ge5 == (count_S(p, q, n) >= 5)
 
     def test_sweep_s_counts(self):
         for n in (12, 23, 40):

@@ -307,13 +307,27 @@ class TestSurveyRange:
                 return map(fn, items)
 
         monkeypatch.setattr(survey, "ProcessPoolExecutor", RecordingPool)
+
+        def allow(cpus):  # the affinity mask; os may lack sched_getaffinity
+            affinity = set(range(cpus))
+            monkeypatch.setattr(
+                survey.os, "sched_getaffinity", lambda pid: affinity, raising=False
+            )
+
+        allow(8)
         monkeypatch.setattr(survey.os, "cpu_count", lambda: 8)
         assert [r.n for r in survey_range(5, 7, workers=64)] == [5, 6, 7]
         assert [r.n for r in survey_range(5, 40, workers=64)] == list(range(5, 41))
         assert [r.n for r in survey_range(5, 40, workers=2)] == list(range(5, 41))
+        # pinned to one CPU (taskset -c 0) of a machine with more
+        allow(1)
+        assert len(list(survey_range(5, 40, workers=2))) == 36  # serial, no pool
+        # a platform without affinity masks falls back to the CPU count
+        monkeypatch.delattr(survey.os, "sched_getaffinity", raising=False)
+        assert len(list(survey_range(5, 40, workers=64))) == 36
         monkeypatch.setattr(survey.os, "cpu_count", lambda: None)
         assert len(list(survey_range(5, 40, workers=64))) == 36  # serial, no pool
-        assert sizes == [3, 8, 2]
+        assert sizes == [3, 8, 2, 8]
 
     def test_eta_threads_through(self):
         plain = list(survey_range(30, 40, eta=0))
