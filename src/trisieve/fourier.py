@@ -14,8 +14,9 @@ length-n FFTs at desk scale.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, inf, log, pi
 
 import numpy as np
@@ -58,11 +59,14 @@ class ExceptionalSet:
     S(u) = sum_k w(k) * Sigma(d; [u*k]_d); members holds the classes
     -q*u mod d for the u whose mass strictly exceeds the threshold
     7 R (1 + log n)^2 / d. Markov's inequality caps members at phi(d)/R.
+    From exceptional_set, s_values is a read-only mapping that sums every
+    S(u) on its first read, once: where the Cauchy-Schwarz certificate
+    settles members, no S(u) is summed unless s_values is read.
     """
 
     d: int
     members: frozenset[int]
-    s_values: dict[int, float]
+    s_values: Mapping[int, float]
 
     def excludes(self, p: np.ndarray) -> np.ndarray:
         """Elementwise over an int64 array of p: True where the refined bound
@@ -146,6 +150,31 @@ def sigma_residue(n: int, m: int, d: int, b: int) -> float:
     return sum(abs(interval_hat(n, m, l)) for l in range(b, n, d))
 
 
+class _UnitMasses(Mapping):
+    """S(u) = weights @ mass[u*k mod d] over k = 1 .. n-1 for every unit u
+    mod d, read-only; the sums run once, on the first read."""
+
+    def __init__(self, d: int, mass: np.ndarray, weights: np.ndarray):
+        self._d, self._mass, self._weights = d, mass, weights
+
+    @cached_property
+    def _values(self) -> dict[int, float]:
+        ks = np.arange(1, self._weights.size + 1, dtype=np.int64)
+        return {
+            u: float(self._weights @ self._mass[(u * ks) % self._d])
+            for u in unit_set(self._d).members
+        }
+
+    def __getitem__(self, u: int) -> float:
+        return self._values[u]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+
 def exceptional_set(n: int, q: int, R: float) -> ExceptionalSet:
     """Weighted Fourier mass S(u) for every unit u mod d = P**alpha, and
     the residue classes for p where that mass is more than R times the
@@ -154,6 +183,13 @@ def exceptional_set(n: int, q: int, R: float) -> ExceptionalSet:
     The weight is w(k) = 1/(2 min(k, n-k)); class b's mass sums |f_hat(l)|
     of the interval of width 2q-1 over l = b (mod d), one fold as d | n.
     Requires gcd(q, P) = 1 and 2 <= R < inf; ties at the threshold stay out.
+
+    Certificate first: a unit u permutes the classes mod d, so by
+    Cauchy-Schwarz every S(u) <= |W|_2 |mass|_2, where W[j] sums w(k) over
+    k = j (mod d). Where that bound is below threshold * (1 - 1e-9),
+    members is empty and no S(u) is summed here; it clears every q up to
+    about n = 4000. Elsewhere members come from the S(u) themselves.
+    s_values holds S(u) for every unit either way, summed on first read.
     """
     if n < 2:
         raise ValueError(f"exceptional_set needs n >= 2, got {n}")
@@ -170,15 +206,13 @@ def exceptional_set(n: int, q: int, R: float) -> ExceptionalSet:
     mass = np.abs(_interval_hats(n, mq)).reshape(n // d, d).sum(axis=0)
     ks = np.arange(1, n, dtype=np.int64)
     weights = 1.0 / (2.0 * np.minimum(ks, n - ks))
+    s_values = _UnitMasses(d, mass, weights)
     threshold = 7.0 * R * (1.0 + log(n)) ** 2 / d
-    s_values: dict[int, float] = {}
-    members: set[int] = set()
-    for u in unit_set(d).members:
-        s_u = float(weights @ mass[(u * ks) % d])
-        s_values[u] = s_u
-        if s_u > threshold:
-            members.add((-q * u) % d)
-    return ExceptionalSet(d, frozenset(members), s_values)
+    folded = np.r_[0.0, weights].reshape(n // d, d).sum(axis=0)
+    if np.linalg.norm(folded) * np.linalg.norm(mass) < threshold * (1.0 - 1e-9):
+        return ExceptionalSet(d, frozenset(), s_values)
+    members = frozenset((-q * u) % d for u, s in s_values.items() if s > threshold)
+    return ExceptionalSet(d, members, s_values)
 
 
 def verify_error_bound(n: int, q: int, R: float) -> BoundCheck:

@@ -193,7 +193,18 @@ class TestExceptionalSet:
 
     @pytest.mark.parametrize(
         "n, q",
-        [(60, 7), (64, 5), (250, 3), (256, 9), (300, 7), (343, 5), (509, 100), (686, 11)],
+        [
+            (60, 7),
+            (64, 5),
+            (250, 3),
+            (256, 9),
+            (300, 7),
+            (343, 5),
+            (509, 100),
+            (686, 11),
+            (1009, 252),
+            (2003, 500),
+        ],
     )
     def test_matches_scalar_reference(self, n, q, monkeypatch):
         prof = factor_profile(n)
@@ -209,6 +220,13 @@ class TestExceptionalSet:
         assert exc.s_values.keys() == reference.keys()
         for u, s in reference.items():
             assert exc.s_values[u] == pytest.approx(s, rel=1e-9), u
+        # the certificate: u permutes the classes mod d, so by Cauchy-Schwarz
+        # every S(u) is at most |W|_2 |mass|_2, W the weights folded by k mod d
+        folded = [0.0] * d
+        for k in range(1, n):
+            folded[k % d] += 1 / (2 * min(k, n - k))
+        bound = sum(x * x for x in folded) ** 0.5 * sum(x * x for x in mass) ** 0.5
+        assert max(reference.values()) <= bound * (1 + 1e-12)
         # the sets are empty at desk scale, so lower the threshold through log:
         # 7 R (1 + log n)^2 / d at R = 2 becomes the midpoint of the first
         # clear gap in the sorted masses from the median up

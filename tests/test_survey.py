@@ -182,6 +182,46 @@ class TestSurveyN:
         assert rec.e_n == 44
         assert survey_n(300, deep_audit=True).e_n == 1180
 
+    def test_certified_deep_audit_sums_no_unit_mass(self, monkeypatch):
+        # |W|_2 |mass|_2 clears the threshold at every q of these n (worst
+        # ratios 0.18, 0.013 and 0.018), so the audit needs no S(u) at all
+        def no_sums(d):
+            raise AssertionError(f"S(u) summed mod {d}")
+
+        monkeypatch.setattr(fourier, "unit_set", no_sums)
+        assert survey_n(509, deep_audit=True).e_n == 0
+        assert survey_n(60, deep_audit=True).e_n == 44
+        assert survey_n(300, deep_audit=True).e_n == 1180
+        exc = exceptional_set(509, 100, ceil(log(509)))
+        # read later, s_values still holds every unit, summed once
+        summed = []
+        monkeypatch.setattr(fourier, "unit_set", lambda d: summed.append(d) or unit_set(d))
+        assert set(exc.s_values) == set(range(1, 509))
+        assert len(exc.s_values) == 508 and max(exc.s_values.values()) > 0
+        assert summed == [509]
+
+    @pytest.mark.parametrize("n, worst", [(2003, 0.4378), (4001, 0.6663)])
+    def test_deep_audit_at_larger_primes(self, n, worst, monkeypatch):
+        # the certificate clears every q, so no S(u) is summed; its worst
+        # ratio to the threshold over q lies within 1e-3 of worst: scaling
+        # the threshold 7 R (1 + log n)^2 / d by worst + 1e-3 through log
+        # still clears every q, scaling it by worst - 1e-3 leaves some q open.
+        # At a prime n the bound grows with q (Parseval: |mass|_2^2 = (2q-1)/n),
+        # so the scan runs from the top q down and stops at the first one open
+        summed = []
+        monkeypatch.setattr(fourier, "unit_set", lambda d: summed.append(d) or unit_set(d))
+        assert survey_n(n, deep_audit=True).e_n == 0
+        assert summed == []
+        R = ceil(log(n))
+        for c, opened in ((worst + 1e-3, False), (worst - 1e-3, True)):
+            with monkeypatch.context() as m:
+                m.setattr(fourier, "log", lambda x: c**0.5 * (1.0 + log(x)) - 1.0)
+                for q in range((n - 3) // 2, 0, -1):
+                    assert not exceptional_set(n, q, R).members
+                    if summed:
+                        break
+            assert bool(summed) == opened, c
+
     def test_deep_audit_r_is_ceil_log_n(self, monkeypatch):
         # e_n does not move with R at desk scale, so pin R at the call
         seen = set()
