@@ -105,30 +105,14 @@ def unit_set(n: int) -> UnitSet:
 def ramanujan(n: int, t: int) -> int:
     """Ramanujan sum c_n(t) as an exact integer (no floating point).
 
-    One prime power at a time: for p**k the value is 0 when v_p(t) <= k-2,
-    -p**(k-1) when v_p(t) = k-1, and phi(p**k) when p**k | t; coprime prime
-    powers multiply. c_n is n-periodic in t.
+    Von Sterneck's formula: with g = gcd(t, n), c_n(t) = mu(n/g) phi(n) / phi(n/g),
+    where phi(n/g) divides phi(n). It depends on g alone, so c_n is
+    n-periodic in t, and c_n(0) = phi(n), c_n(1) = mu(n).
     """
     if n < 1:
         raise ValueError(f"ramanujan needs n >= 1, got {n}")
-    t %= n
-    result = 1
-    for p, k in factor_profile(n).factors:
-        if t == 0:
-            v = k
-        else:
-            v = 0
-            m = t
-            while m % p == 0 and v < k:
-                m //= p
-                v += 1
-        if v >= k:
-            result *= p ** k - p ** (k - 1)
-        elif v == k - 1:
-            result *= -(p ** (k - 1))
-        else:
-            return 0
-    return result
+    cofactor = factor_profile(n // gcd(t, n))
+    return cofactor.moebius * (factor_profile(n).totient // cofactor.totient)
 
 
 def ramanujan_oracle(n: int, t: int) -> int:

@@ -17,7 +17,7 @@ import cmath
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, inf, log, pi
+from math import gcd, inf, log, pi, sqrt
 
 import numpy as np
 
@@ -59,9 +59,9 @@ class ExceptionalSet:
     S(u) = sum_k w(k) * Sigma(d; [u*k]_d); members holds the classes
     -q*u mod d for the u whose mass strictly exceeds the threshold
     7 R (1 + log n)^2 / d. Markov's inequality caps members at phi(d)/R.
-    From exceptional_set, s_values is a read-only mapping that sums every
-    S(u) on its first read, once: where the Cauchy-Schwarz certificate
-    settles members, no S(u) is summed unless s_values is read.
+    From exceptional_set, s_values is a read-only mapping that takes the
+    interval's FFT and sums every S(u) on its first read, once: where the
+    certificate settles members, neither runs unless s_values is read.
     """
 
     d: int
@@ -100,7 +100,7 @@ def main_term(p: int, q: int, n: int) -> float:
 
 @lru_cache(maxsize=256)
 def ramanujan_table(n: int) -> tuple[int, ...]:
-    """c_n(t) for t = 0 .. n-1, exact; spectral_S looks c_n up in it."""
+    """c_n(t) for t = 0 .. n-1, exact; spectral_S dots its convolution with it."""
     return tuple(ramanujan(n, t) for t in range(n))
 
 
@@ -113,22 +113,22 @@ def spectral_S(p: int, q: int, n: int) -> SpectralDecomposition:
     """Evaluate sum_{k,l} fp_hat(k) fq_hat(l) c_n(k p + l q) and compare
     with the direct unit count.
 
-    f_hat comes from one FFT per interval; the double sum runs over blocks
-    of k, about 2^17 terms at a time, so memory is linear in n. Raises
-    ArithmeticError if the residual reaches 1e-6, which would indicate an
-    implementation or precision fault.
+    f_hat comes from one FFT per interval. Pushed forward under k -> k p and
+    l -> l q mod n (coefficients merge where gcd(p, n) > 1 or gcd(q, n) > 1),
+    the double sum is one cyclic convolution dotted with c_n: O(n log n)
+    time, O(n) memory. Raises ArithmeticError if the residual reaches 1e-6,
+    which would indicate an implementation or precision fault.
     """
     s_direct = count_S(p, q, n)
     m_value = main_term(p, q, n)
-    fp, fq = _interval_hats(n, 2 * p - 1), _interval_hats(n, 2 * q - 1)
-    c = np.asarray(ramanujan_table(n), dtype=np.float64)
     k = np.arange(n, dtype=np.int64)
-    lq = k * q % n
-    block = max(1, (1 << 17) // n)
-    total = 0j
-    for lo in range(0, n, block):
-        idx = ((k[lo : lo + block] * p % n)[:, None] + lq[None, :]) % n
-        total += complex(fp[lo : lo + block] @ (c[idx] @ fq))
+    product = np.ones(n, dtype=np.complex128)
+    for x in (p, q):
+        hat, idx = _interval_hats(n, 2 * x - 1), k * x % n
+        pushed = np.bincount(idx, hat.real, n) + 1j * np.bincount(idx, hat.imag, n)
+        product *= np.fft.fft(pushed)
+    c = np.asarray(ramanujan_table(n), dtype=np.float64)
+    total = complex(np.fft.ifft(product) @ c)
     residual = abs(total - s_direct)
     if residual >= 1e-6:
         raise ArithmeticError(
@@ -151,19 +151,20 @@ def sigma_residue(n: int, m: int, d: int, b: int) -> float:
 
 
 class _UnitMasses(Mapping):
-    """S(u) = weights @ mass[u*k mod d] over k = 1 .. n-1 for every unit u
-    mod d, read-only; the sums run once, on the first read."""
+    """S(u) = W @ mass[u*j mod d] over j = 0 .. d-1 for every unit u mod d,
+    read-only. W holds the weights folded by k mod d (d = W.size), and
+    mass[b] sums |f_hat(l)| of the interval {1..m} over l = b (mod d). The
+    FFT, the fold and the sums run once, on the first read."""
 
-    def __init__(self, d: int, mass: np.ndarray, weights: np.ndarray):
-        self._d, self._mass, self._weights = d, mass, weights
+    def __init__(self, n: int, m: int, weights: np.ndarray):
+        self._n, self._m, self._weights = n, m, weights
 
     @cached_property
     def _values(self) -> dict[int, float]:
-        ks = np.arange(1, self._weights.size + 1, dtype=np.int64)
-        return {
-            u: float(self._weights @ self._mass[(u * ks) % self._d])
-            for u in unit_set(self._d).members
-        }
+        d = self._weights.size
+        mass = np.abs(_interval_hats(self._n, self._m)).reshape(-1, d).sum(axis=0)
+        j = np.arange(d, dtype=np.int64)
+        return {u: float(self._weights @ mass[u * j % d]) for u in unit_set(d).members}
 
     def __getitem__(self, u: int) -> float:
         return self._values[u]
@@ -176,20 +177,22 @@ class _UnitMasses(Mapping):
 
 
 def exceptional_set(n: int, q: int, R: float) -> ExceptionalSet:
-    """Weighted Fourier mass S(u) for every unit u mod d = P**alpha, and
-    the residue classes for p where that mass is more than R times the
-    average-level threshold.
+    """The residue classes mod d = P**alpha for p where the weighted Fourier
+    mass S(u) of a unit u is more than R times the average-level threshold.
 
-    The weight is w(k) = 1/(2 min(k, n-k)); class b's mass sums |f_hat(l)|
-    of the interval of width 2q-1 over l = b (mod d), one fold as d | n.
-    Requires gcd(q, P) = 1 and 2 <= R < inf; ties at the threshold stay out.
+    With w(k) = 1/(2 min(k, n-k)) folded by k mod d into W, and class b's
+    mass summing |f_hat(l)| of the interval of width 2q-1 over l = b (mod d),
+    S(u) = sum_j W[j] mass[u j mod d]. Requires gcd(q, P) = 1 and
+    2 <= R < inf; ties at the threshold stay out.
 
-    Certificate first: a unit u permutes the classes mod d, so by
-    Cauchy-Schwarz every S(u) <= |W|_2 |mass|_2, where W[j] sums w(k) over
-    k = j (mod d). Where that bound is below threshold * (1 - 1e-9),
-    members is empty and no S(u) is summed here; it clears every q up to
-    about n = 4000. Elsewhere members come from the S(u) themselves.
-    s_values holds S(u) for every unit either way, summed on first read.
+    Certificate first, with no FFT: a unit u permutes the classes mod d, so
+    by Cauchy-Schwarz every S(u) <= |W|_2 |mass|_2. Each class sums n/d
+    coefficients, so by Cauchy-Schwarz again and Parseval
+    |mass|_2^2 <= (n/d) sum_l |f_hat(l)|^2 = (2q-1)/d, with equality when
+    d = n. Where |W|_2 sqrt((2q-1)/d) is below threshold * (1 - 1e-9),
+    members is empty; it clears every q up to about n = 4000. Elsewhere
+    members come from the S(u) themselves. s_values holds S(u) for every
+    unit either way, summed on first read.
     """
     if n < 2:
         raise ValueError(f"exceptional_set needs n >= 2, got {n}")
@@ -203,13 +206,11 @@ def exceptional_set(n: int, q: int, R: float) -> ExceptionalSet:
     if not 1 <= mq <= n - 1:
         raise ValueError(f"q must satisfy 1 <= 2q-1 <= n-1, got q={q}, n={n}")
     d = P ** prof.valuation(P)
-    mass = np.abs(_interval_hats(n, mq)).reshape(n // d, d).sum(axis=0)
-    ks = np.arange(1, n, dtype=np.int64)
-    weights = 1.0 / (2.0 * np.minimum(ks, n - ks))
-    s_values = _UnitMasses(d, mass, weights)
+    k = np.arange(1, n, dtype=np.int64)
+    weights = np.bincount(k % d, 1.0 / (2.0 * np.minimum(k, n - k)), d)
+    s_values = _UnitMasses(n, mq, weights)
     threshold = 7.0 * R * (1.0 + log(n)) ** 2 / d
-    folded = np.r_[0.0, weights].reshape(n // d, d).sum(axis=0)
-    if np.linalg.norm(folded) * np.linalg.norm(mass) < threshold * (1.0 - 1e-9):
+    if np.linalg.norm(weights) * sqrt(mq / d) < threshold * (1.0 - 1e-9):
         return ExceptionalSet(d, frozenset(), s_values)
     members = frozenset((-q * u) % d for u, s in s_values.items() if s > threshold)
     return ExceptionalSet(d, members, s_values)

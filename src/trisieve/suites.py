@@ -41,11 +41,11 @@ def ramanujan_suite(max_n: int) -> tuple[bool, str]:
         for t in range(n):
             closed = ramanujan(n, t)
             oracle = ramanujan_oracle(n, t)
-            hoelder = ramanujan_divisor_sum(n, t)
-            if closed != oracle or closed != hoelder:
+            divisor_sum = ramanujan_divisor_sum(n, t)
+            if closed != oracle or closed != divisor_sum:
                 return False, (
                     f"counterexample at n={n}, t={t}: closed={closed} "
-                    f"oracle={oracle} divisor_sum={hoelder}"
+                    f"oracle={oracle} divisor_sum={divisor_sum}"
                 )
     return True, f"ramanujan: closed form = oracle = divisor sum for all n <= {max_n}"
 

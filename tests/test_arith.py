@@ -124,8 +124,8 @@ class TestUnitSet:
 class TestRamanujan:
     def test_prime_power_examples(self):
         assert ramanujan(5, 0) == 4  # phi(5)
-        assert ramanujan(4, 2) == -2  # v = k-1 case
-        assert ramanujan(8, 2) == 0  # v <= k-2 case
+        assert ramanujan(4, 2) == -2  # n/g = 2, mu = -1: -phi(4)/phi(2)
+        assert ramanujan(8, 2) == 0  # n/g = 4 not squarefree, mu = 0
         assert ramanujan(6, 1) == 1
         assert ramanujan(7, 7) == 6
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from trisieve import fourier
-from trisieve.arith import divisors, factor_profile
+from trisieve.arith import divisors, factor_profile, ramanujan_divisor_sum
 from trisieve.criterion import count_S
 from trisieve.fourier import (
     ExceptionalSet,
@@ -118,19 +118,33 @@ class TestSpectralS:
                 ), (n, p, q)
 
     def test_memory_is_linear_in_n(self):
-        # an n x n index at n = 2999 alone takes 72 MB
+        # an n x n index at n = 2999 alone takes 72 MB, and a sum over blocks
+        # of 2^17 index cells peaks near 4 MiB; the convolution holds a few
+        # length-n arrays and the table, about 0.6 MiB
         tracemalloc.start()
         try:
             spectral_S(7, 1000, 2999)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("p, q, n", [(5002, 5001, 20011), (2310, 4620, 30030)])
+    def test_matches_count_at_large_n(self, p, q, n):
+        # at n = 30030, gcd(p, n) = 2310 and gcd(q, n) = 4620 merge coefficients
+        dec = spectral_S(p, q, n)
+        assert dec.s_direct == count_S(p, q, n)
+        assert dec.residual < 1e-6
 
     def test_ramanujan_table_cached_values(self):
         table = ramanujan_table(12)
         assert table[0] == 4
         assert len(table) == 12
+
+    @pytest.mark.parametrize("n", [1024, 2187, 2310, 2999])
+    def test_ramanujan_table_matches_divisor_sum(self, n):
+        # the moduli spectral_S meets: prime powers, squarefree, prime
+        assert ramanujan_table(n) == tuple(ramanujan_divisor_sum(n, t) for t in range(n))
 
 
 class TestSigmaResidue:
@@ -227,6 +241,13 @@ class TestExceptionalSet:
             folded[k % d] += 1 / (2 * min(k, n - k))
         bound = sum(x * x for x in folded) ** 0.5 * sum(x * x for x in mass) ** 0.5
         assert max(reference.values()) <= bound * (1 + 1e-12)
+        # each class sums n/d coefficients, so by Cauchy-Schwarz and Parseval
+        # |mass|_2^2 <= (n/d) sum |f_hat|^2 = (2q-1)/d, with equality at d = n:
+        # the certificate exceptional_set tests, with no FFT
+        squares, parseval = sum(x * x for x in mass), (2 * q - 1) / d
+        assert squares <= parseval * (1 + 1e-12)
+        if d == n:
+            assert squares == pytest.approx(parseval, rel=1e-12)
         # the sets are empty at desk scale, so lower the threshold through log:
         # 7 R (1 + log n)^2 / d at R = 2 becomes the midpoint of the first
         # clear gap in the sorted masses from the median up

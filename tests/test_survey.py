@@ -183,8 +183,8 @@ class TestSurveyN:
         assert survey_n(300, deep_audit=True).e_n == 1180
 
     def test_certified_deep_audit_sums_no_unit_mass(self, monkeypatch):
-        # |W|_2 |mass|_2 clears the threshold at every q of these n (worst
-        # ratios 0.18, 0.013 and 0.018), so the audit needs no S(u) at all
+        # |W|_2 sqrt((2q-1)/d) clears the threshold at every q of these n
+        # (worst ratios 0.18, 0.034 and 0.058), so the audit needs no S(u)
         def no_sums(d):
             raise AssertionError(f"S(u) summed mod {d}")
 
@@ -199,6 +199,17 @@ class TestSurveyN:
         assert set(exc.s_values) == set(range(1, 509))
         assert len(exc.s_values) == 508 and max(exc.s_values.values()) > 0
         assert summed == [509]
+
+    def test_certified_deep_audit_takes_no_fft(self, monkeypatch):
+        # the certificate bounds |mass|_2 by Parseval, so where it clears
+        # every q the audit never takes the interval's FFT
+        def no_fft(n, m):
+            raise AssertionError(f"FFT of the interval {{1..{m}}} mod {n}")
+
+        monkeypatch.setattr(fourier, "_interval_hats", no_fft)
+        assert survey_n(509, deep_audit=True).e_n == 0
+        assert survey_n(60, deep_audit=True).e_n == 44
+        assert survey_n(300, deep_audit=True).e_n == 1180
 
     @pytest.mark.parametrize("n, worst", [(2003, 0.4378), (4001, 0.6663)])
     def test_deep_audit_at_larger_primes(self, n, worst, monkeypatch):
