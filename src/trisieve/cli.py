@@ -149,8 +149,7 @@ def _cmd_spectrum(args) -> CommandOutcome:
 
 def _audited(records):
     for record in records:
-        if record.e_n is not None:
-            print(f"# deep-audit n={record.n} e_n={record.e_n}", file=sys.stderr)
+        print(f"# deep-audit n={record.n} e_n={record.e_n}", file=sys.stderr)
         yield record
 
 

@@ -21,8 +21,9 @@ MODE_TWO_OF_THREE = "two_of_three"
 @dataclass(frozen=True)
 class WitnessReport:
     """Outcome of the obstruction search for one triangle: whether it is
-    ruled out, by which (smallest) usable unit, and which of the p/q/r
-    inequalities that unit satisfies. S(p, q) is count_S's."""
+    ruled out, by which (smallest) usable unit, and which two of the p/q/r
+    inequalities that unit meets: ("p", "q"), ("p", "r") or ("q", "r").
+    No unit meets all three (see find_witness). S(p, q) is count_S's."""
 
     ruled_out: bool
     witness: int | None
@@ -38,7 +39,8 @@ def ineq_holds(a: int, x: int, n: int) -> bool:
 
 def count_S(p: int, q: int, n: int) -> int:
     """Number of units a mod n with 1 <= [a*p]_n <= 2p-1 and
-    1 <= [a*q]_n <= 2q-1.
+    1 <= [a*q]_n <= 2q-1. The lower bounds hold for every unit: with
+    0 < p, q < n, a*p and a*q are never 0 mod n.
 
     Rejects pairs whose interval widths 2p-1, 2q-1 reach n: those do not
     come from obtuse triangles and the intervals would wrap.
@@ -49,11 +51,10 @@ def count_S(p: int, q: int, n: int) -> int:
         raise ValueError(
             f"count_S needs 2p-1 < n and 2q-1 < n, got p={p}, q={q}, n={n}"
         )
-    mp = 2 * p - 1
-    mq = 2 * q - 1
+    two_p, two_q = 2 * p, 2 * q
     total = 0
     for a in unit_set(n).members:
-        if 1 <= (a * p) % n <= mp and 1 <= (a * q) % n <= mq:
+        if (a * p) % n < two_p and (a * q) % n < two_q:
             total += 1
     return total
 
@@ -64,7 +65,11 @@ def find_witness(p: int, q: int, n: int, mode: str = MODE_TWO_PQ) -> WitnessRepo
     output deterministic and diff-stable.
 
     mode "two_pq" demands the p- and q-inequalities; "two_of_three"
-    accepts any two of the p/q/r inequalities. S(p, q) is count_S's pass.
+    accepts any two of the p/q/r inequalities. A witness meets exactly
+    two: with A = [a*p]_n, B = [a*q]_n, C = [a*r]_n, the p- and
+    q-inequalities give A + B < 2(p + q) < n, so C = n - A - B exceeds
+    [2r]_n = 2r - n; likewise r and p force q to fail, and r and q force
+    p to fail. S(p, q) is count_S's pass.
     """
     if mode not in (MODE_TWO_PQ, MODE_TWO_OF_THREE):
         raise ValueError(f"mode must be two_pq or two_of_three, got {mode!r}")
@@ -76,24 +81,19 @@ def find_witness(p: int, q: int, n: int, mode: str = MODE_TWO_PQ) -> WitnessRepo
         )
     if gcd(p, q, n) != 1:
         raise ValueError(f"need gcd(p, q, n) = 1, got {(p, q, n)}")
+    # p, q < n/2 < r = n - p - q, so [2p]_n = 2p, [2q]_n = 2q, [2r]_n = 2r - n
     r = n - p - q
-    witness: int | None = None
-    held: tuple[str, ...] = ()
+    two_p, two_q, two_r = 2 * p, 2 * q, 2 * r - n
+    use_r = mode == MODE_TWO_OF_THREE
     for a in unit_set(n).usable:
-        hp = ineq_holds(a, p, n)
-        hq = ineq_holds(a, q, n)
-        if mode == MODE_TWO_PQ:
-            if not (hp and hq):
-                continue
-            hr = ineq_holds(a, r, n)
-        else:
-            hr = ineq_holds(a, r, n)
-            if hp + hq + hr < 2:
-                continue
-        witness = a
-        held = tuple(tag for tag, flag in (("p", hp), ("q", hq), ("r", hr)) if flag)
-        break
-    return WitnessReport(witness is not None, witness, held)
+        hp = (a * p) % n < two_p
+        hq = (a * q) % n < two_q
+        if hp and hq:
+            return WitnessReport(True, a, ("p", "q"))
+        # r makes a pair with exactly one of p and q, never with neither
+        if use_r and hp != hq and (a * r) % n < two_r:
+            return WitnessReport(True, a, ("p", "r") if hp else ("q", "r"))
+    return WitnessReport(False, None, ())
 
 
 def _word_rows(n: int, lo: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Unit tests for the obstruction criterion and the batch sweep."""
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -107,19 +108,31 @@ class TestFindWitness:
             assert held <= 1
 
     def test_witness_is_smallest(self):
-        for n in (23, 37, 60):
+        # the smallest usable unit meeting the mode's inequalities, with its tags
+        for mode, n in itertools.product((MODE_TWO_PQ, MODE_TWO_OF_THREE), (23, 37, 60)):
             for p, q in hard_window_pairs(n):
-                report = find_witness(p, q, n, MODE_TWO_PQ)
-                if not report.ruled_out:
-                    continue
+                report = find_witness(p, q, n, mode)
+                expected = (False, None, ())
+                for a in unit_set(n).usable:
+                    flags = (("p", p), ("q", q), ("r", n - p - q))
+                    held = tuple(tag for tag, x in flags if ineq_holds(a, x, n))
+                    if {"p", "q"} <= set(held) or (
+                        mode == MODE_TWO_OF_THREE and len(held) >= 2
+                    ):
+                        expected = (True, a, held)
+                        break
+                assert (report.ruled_out, report.witness, report.inequalities_held) == expected
+
+    def test_no_unit_meets_all_three(self):
+        # the lemma find_witness rests on: a witness meets exactly two
+        for n in range(5, 61):
+            usable = unit_set(n).usable
+            for p, q in hard_window_pairs(n):
                 r = n - p - q
-                qualifying = [
-                    a
-                    for a in unit_set(n).usable
-                    if ineq_holds(a, p, n) and ineq_holds(a, q, n)
-                ]
-                assert report.witness == min(qualifying)
-                del r
+                for a in usable:
+                    assert not (
+                        ineq_holds(a, p, n) and ineq_holds(a, q, n) and ineq_holds(a, r, n)
+                    ), (a, p, q, n)
 
     def test_mode_monotone(self):
         for n in range(5, 61):
@@ -134,9 +147,9 @@ class TestFindWitness:
                     report = find_witness(p, q, n, mode)
                     if report.ruled_out:
                         assert report.witness in unit_set(n).usable
-                        assert len(report.inequalities_held) >= 2
+                        assert len(report.inequalities_held) == 2
                         if mode == MODE_TWO_PQ:
-                            assert {"p", "q"} <= set(report.inequalities_held)
+                            assert report.inequalities_held == ("p", "q")
                     else:
                         assert report.witness is None
 
