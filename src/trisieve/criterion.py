@@ -128,6 +128,10 @@ def _half_window(
     in p and q (r = n - p - q is too), so these blocks decide every window
     pair. Unit-major: the bit rows are built once, then each pair costs a
     few word-wise ANDs, ORs and popcounts over contiguous slices of the rows.
+    A unit meeting p and q already meets two of three, so the r-rows are
+    read only for the open pairs, those with no such unit: one to two
+    percent of them at n near 2000, but every pair of the x = 1 block,
+    since row 1 is empty (no usable u has [u]_n < 2).
     The rows hold usable units only; the other units add one to S and no
     verdict: unit 1 meets the p- and q-inequalities ([p]_n = p < 2p), and
     1 + n/2, a unit when 4 | n, meets the x-inequality for even x only,
@@ -136,12 +140,16 @@ def _half_window(
     rows = _word_rows(n, lo)
     for x in range(lo, (n - 1) // 4 + 1):  # p <= q and p + q < n/2 need 4p < n
         q_hi = (n - 2 * x - 1) // 2
-        # the rows q = x .. q_hi and, in the same order, r = n - x - q
-        row_q = rows[x : q_hi + 1]
-        row_r = rows[n - x - q_hi : n - 2 * x + 1][::-1]
-        hits = np.bitwise_count(row_q & rows[x]).sum(axis=1, dtype=np.int64)
-        # a usable unit meets two of the three: p and q, or r and p or q
-        two_of_three = (hits > 0) | ((row_q | rows[x]) & row_r).any(axis=1)
+        hits = np.bitwise_count(rows[x : q_hi + 1] & rows[x]).sum(axis=1, dtype=np.int64)
+        two_of_three = hits > 0
+        # an open row i is q = x + i, r = n - x - q = n - 2x - i; a usable
+        # unit meeting r and p or q rules it out. Open rows go in chunks of
+        # half a block, so the gathered q- and r-rows never pass one block
+        open_rows = np.flatnonzero(hits == 0)
+        chunk = -(-hits.size // 2)
+        for start in range(0, open_rows.size, chunk):
+            i = open_rows[start : start + chunk]
+            two_of_three[i] = ((rows[x + i] | rows[x]) & rows[n - 2 * x - i]).any(axis=1)
         q = np.arange(x, q_hi + 1)
         keep = slice(None) if gcd(x, n) == 1 else np.gcd(q, gcd(x, n)) == 1
         yield x, q[keep], hits[keep] + 1, hits[keep] > 0, two_of_three[keep]

@@ -78,7 +78,9 @@ def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
     """Tally the window pairs of sweep_window(n, eta) into a SurveyRecord
     of Python ints and floats, one half-window block at a time; the pair
     table is never built, but the kernel's bit rows take about n**2 / 8
-    bytes (0.5 MB at n = 2003, 50 MB at n = 20011).
+    bytes (0.5 MB at n = 2003, 50 MB at n = 20011). Beyond them a block
+    holds one block-wide temporary, for its p-and-q popcounts, and then the
+    q- and r-rows of its open pairs, half a block of each at most.
 
     Both criterion modes are always tallied. With deep_audit=True the
     exceptional residue classes are computed per q and the size of the
@@ -91,20 +93,22 @@ def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
         raise ValueError(f"survey_n needs n >= 5, got {n}")
     lo = _window_lo(n, eta)
     p_plus = factor_profile(n).largest_prime
-    h_size = ruled_pq = ruled_23 = s_ge5 = in_c = q_div_P = 0
+    # h_size, ruled_pq, ruled_23, s_ge5 and in_C over the half window and
+    # over its diagonal pairs (x, x): a pair x < q is two table rows, (x, q)
+    # and (q, x), so each total is twice the first count less the second
+    half, diagonal = np.zeros((2, 5), dtype=np.int64)
+    q_div_P = 0
     for x, q, s_count, two_pq, two_of_three in _half_window(n, lo):
-        # a pair x < q is two table rows, (x, q) and (q, x); (x, x) is one
-        weight = np.where(q == x, 1, 2)
-        h_size += int(weight.sum())
-        ruled_pq += int(weight[two_pq].sum())
-        ruled_23 += int(weight[two_of_three].sum())
-        s_ge5 += int(weight[s_count >= 5].sum())
-        if n >= 16:
-            in_c += int(weight[in_region_C(n, x, q)].sum())
+        region_c = in_region_C(n, x, q) if n >= 16 else np.zeros_like(two_pq)
+        flags = (two_pq, two_of_three, s_count >= 5, region_c)
+        half += (q.size, *map(np.count_nonzero, flags))
+        if q.size and q[0] == x:
+            diagonal += (1, *[flag[0] for flag in flags])
         # q_div_P reads the q column, the one column not symmetric in p, q
-        q_div_P += int((q % p_plus == 0).sum())
+        q_div_P += np.count_nonzero(q % p_plus == 0)
         if x % p_plus == 0:
-            q_div_P += int((q > x).sum())
+            q_div_P += np.count_nonzero(q > x)
+    h_size, ruled_pq, ruled_23, s_ge5, in_c = (2 * half - diagonal).tolist()
     return SurveyRecord(
         n,
         p_plus,
@@ -114,7 +118,7 @@ def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
         ruled_23,
         s_ge5,
         in_c,
-        q_div_P,
+        int(q_div_P),
         ruled_23 / h_size if h_size else 0.0,
         _exceptional_pairs(n, lo) if deep_audit else None,
     )

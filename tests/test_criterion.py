@@ -230,6 +230,18 @@ class TestBatchSurvey:
             for x, q, s_count, _, _ in _half_window(n, 1):
                 assert q.dtype == s_count.dtype == np.int64, (n, x)
 
+    def test_open_pairs_match_pointwise(self):
+        # the kernel reads r-rows only for pairs no usable unit rules out by
+        # p and q (ruled_two_pq false); that is every pair of the x = 1
+        # block, row 1 being empty, so check each such pair against find_witness
+        for n in (2003, 2310, 2048):
+            for x, q, _, two_pq, two_of_three in _half_window(n, 1):
+                assert x > 1 or not two_pq.any(), n
+                open_pairs = zip(q[~two_pq].tolist(), two_of_three[~two_pq].tolist())
+                for q_, ruled in open_pairs:
+                    report = find_witness(x, q_, n, MODE_TWO_OF_THREE)
+                    assert ruled == report.ruled_out, (n, x, q_)
+
     def test_left_out_units_add_one_to_s(self):
         # the bit rows leave out unit 1, which meets the p- and
         # q-inequalities of every window pair, and 1 + n/2 (a unit when

@@ -10,7 +10,7 @@ import pytest
 
 from trisieve import fourier, survey
 from trisieve.arith import factor_profile, is_prime, unit_set
-from trisieve.criterion import sweep_window
+from trisieve.criterion import _word_rows, sweep_window
 from trisieve.fourier import ExceptionalSet, exceptional_set
 from trisieve.survey import (
     CSV_HEADER,
@@ -258,7 +258,10 @@ class TestSurveyN:
         # P = 23 divides some p: q_div_P counts the q column, not q and p alike
         cases += [(2300, Fraction(1, 7))]
         for n, eta in cases:
-            assert record_tally(survey_n(n, eta)) == table_tally(n, eta), (n, eta)
+            tally = record_tally(survey_n(n, eta))
+            assert tally == table_tally(n, eta), (n, eta)
+            # Python ints, as in the record's repr, not numpy scalars
+            assert all(type(count) is int for count in tally[:6]), (n, eta)
         assert table_tally(2300, Fraction(1, 7))[5] == 3589
 
     def test_deep_audit_matches_table(self):
@@ -313,6 +316,22 @@ class TestSurveyN:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    def test_kernel_transients_fit_two_blocks(self):
+        # beyond the bit rows, the kernel's temporaries stay within two
+        # blocks of (n - 3) // 2 rows, also at x = 1, where every pair is
+        # open and its q- and r-rows are all gathered
+        n = 4001
+        rows = _word_rows(n, 1)
+        block = (n - 3) // 2 * rows.shape[1] * rows.itemsize
+        survey_n(n)  # fills the unit and factor caches
+        tracemalloc.start()
+        try:
+            survey_n(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows.nbytes + 2 * block
 
 
 class TestSurveyRange:
