@@ -97,24 +97,39 @@ def find_witness(p: int, q: int, n: int, mode: str = MODE_TWO_PQ) -> WitnessRepo
 
 
 def _word_rows(n: int, lo: int) -> np.ndarray:
-    """Row x (lo <= x <= n - 2*lo) of an n x ceil(|usable|/64) uint64 array
-    has bit i set iff the i-th usable unit u_i of unit_set(n).usable meets
-    [u_i*x]_n < [2*x]_n; the other rows, which no window pair with
-    p, q >= lo reads, stay empty. Only ANDs, ORs and popcounts read the
-    rows, so neither the unit order nor the byte order inside a word
-    matters. Residues are int32 while n*n fits, which halves their bytes."""
+    """Column x (lo <= x <= n - 2*lo) of a ceil(|usable|/64) x n uint64
+    array has bit i set iff the i-th usable unit u_i of unit_set(n).usable
+    meets [u_i*x]_n < [2*x]_n; the other columns, which no window pair with
+    p, q >= lo reads, stay empty. Word-major, so a run of columns is one
+    contiguous slice per word row; only ANDs, ORs and popcounts read them,
+    so neither the unit order nor the byte order inside a word matters.
+    Residues are taken for x < n/2 only, 2**17 at a time, int32 while n*n
+    fits, in buffers reused across blocks; column n - x (x >= 2*lo) comes
+    from the same block, as [u*(n - x)]_n = n - [u*x]_n and [2*(n - x)]_n =
+    n - 2x: u meets n - x iff [u*x]_n > 2x. At even n, column n/2 is never
+    built; no unit meets it, as u*n/2 = n/2 mod n."""
     u = np.asarray(unit_set(n).usable, dtype=np.int32 if n * n < 2**31 else np.int64)
-    rows = np.zeros((n, -(-u.size // 64)), dtype=np.uint64)
-    block = max(1, (1 << 18) // n)  # at most 2**18 residues per block
-    for first in range(lo, n - 2 * lo + 1, block):
-        xs = np.arange(first, min(first + block, n - 2 * lo + 1), dtype=u.dtype)
-        residues = np.multiply.outer(xs, u)
-        residues %= n  # in place: a fresh block here took twice as long
-        below = residues < ((2 * xs) % n)[:, None]
-        del residues  # else the next block is made while this one is alive
-        packed = np.packbits(below, axis=1, bitorder="little")
-        rows.view(np.uint8)[first : first + xs.size, : packed.shape[1]] = packed
-    return rows
+    cols = np.zeros((-(-u.size // 64), n), dtype=np.uint64)
+    block = max(1, (1 << 17) // u.size)
+    residues, quotients = np.empty((2, block, u.size), dtype=u.dtype)
+    meets = np.empty((block, u.size), dtype=bool)
+    packed = np.zeros((block, cols.shape[0]), dtype=np.uint64)
+
+    def put(columns, bits):
+        words = packed[: bits.shape[0]]
+        words.view(np.uint8)[:, : -(-u.size // 8)] = np.packbits(bits, axis=1, bitorder="little")
+        cols[:, columns] = words.T
+
+    top = min((n - 1) // 2, n - 2 * lo)  # columns past n - 2*lo stay empty
+    for first in range(lo, top + 1, block):
+        xs = np.arange(first, min(first + block, top + 1), dtype=u.dtype)
+        r, quot, two_x = residues[: xs.size], quotients[: xs.size], (2 * xs)[:, None]
+        np.multiply.outer(xs, u, out=r)
+        r -= np.multiply(np.floor_divide(r, n, out=quot), n, out=quot)  # 3x faster than %=
+        put(slice(first, first + xs.size), np.less(r, two_x, out=meets[: xs.size]))
+        m = max(0, 2 * lo - first)  # n - x <= n - 2*lo
+        put(n - xs[m:], np.greater(r[m:], two_x[m:], out=meets[m : xs.size]))
+    return cols
 
 
 def _half_window(
@@ -126,33 +141,40 @@ def _half_window(
     columns of the window pairs (x, q) with x <= q <= (n - 2x - 1) // 2
     and gcd(x, q, n) = 1, in ascending q. Every verdict column is symmetric
     in p and q (r = n - p - q is too), so these blocks decide every window
-    pair. Unit-major: the bit rows are built once, then each pair costs a
-    few word-wise ANDs, ORs and popcounts over contiguous slices of the rows.
-    A unit meeting p and q already meets two of three, so the r-rows are
+    pair. Unit-major: the word-major bit columns are built once, then a
+    block ANDs columns x .. q_hi with column x, popcounts the words and
+    sums them over the word rows, each a contiguous slice; the uint32 hits
+    cannot overflow, as they stay below |usable| < n.
+    A unit meeting p and q already meets two of three, so the r-columns are
     read only for the open pairs, those with no such unit: one to two
     percent of them at n near 2000, but every pair of the x = 1 block,
-    since row 1 is empty (no usable u has [u]_n < 2).
-    The rows hold usable units only; the other units add one to S and no
-    verdict: unit 1 meets the p- and q-inequalities ([p]_n = p < 2p), and
-    1 + n/2, a unit when 4 | n, meets the x-inequality for even x only,
-    which gcd(p, q, n) = 1 forbids for p and q together.
+    since column 1 is empty (no usable u has [u]_n < 2).
+    The columns hold usable units only; the other units add one to S and
+    no verdict: unit 1 meets the p- and q-inequalities ([p]_n = p < 2p),
+    and 1 + n/2, a unit when 4 | n, meets the x-inequality for even x
+    only, which gcd(p, q, n) = 1 forbids for p and q together.
     """
-    rows = _word_rows(n, lo)
+    cols = _word_rows(n, lo)
     for x in range(lo, (n - 1) // 4 + 1):  # p <= q and p + q < n/2 need 4p < n
         q_hi = (n - 2 * x - 1) // 2
-        hits = np.bitwise_count(rows[x : q_hi + 1] & rows[x]).sum(axis=1, dtype=np.int64)
+        col_x = cols[:, x, None]
+        hits = np.bitwise_count(cols[:, x : q_hi + 1] & col_x).sum(axis=0, dtype=np.uint32)
         two_of_three = hits > 0
-        # an open row i is q = x + i, r = n - x - q = n - 2x - i; a usable
-        # unit meeting r and p or q rules it out. Open rows go in chunks of
-        # half a block, so the gathered q- and r-rows never pass one block
-        open_rows = np.flatnonzero(hits == 0)
+        # an open pair i is q = x + i, r = n - x - q = n - 2x - i; a usable
+        # unit meeting r and p or q rules it out. Open pairs go in chunks of
+        # half a block, so the gathered q- and r-columns never pass one block.
+        # take gathers C-ordered copies: with the F-ordered ones of
+        # cols[:, i], peak RSS at n = 8009 read 46.9 MB, not 44.0
+        open_pairs = np.flatnonzero(hits == 0)
         chunk = -(-hits.size // 2)
-        for start in range(0, open_rows.size, chunk):
-            i = open_rows[start : start + chunk]
-            two_of_three[i] = ((rows[x + i] | rows[x]) & rows[n - 2 * x - i]).any(axis=1)
+        for start in range(0, open_pairs.size, chunk):
+            i = open_pairs[start : start + chunk]
+            two_of_three[i] = (
+                (cols.take(x + i, axis=1) | col_x) & cols.take(n - 2 * x - i, axis=1)
+            ).any(axis=0)
         q = np.arange(x, q_hi + 1)
         keep = slice(None) if gcd(x, n) == 1 else np.gcd(q, gcd(x, n)) == 1
-        yield x, q[keep], hits[keep] + 1, hits[keep] > 0, two_of_three[keep]
+        yield x, q[keep], hits[keep] + np.int64(1), hits[keep] > 0, two_of_three[keep]
 
 
 def sweep_window(n: int, eta=0) -> np.ndarray:

@@ -12,7 +12,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from math import ceil, gcd, log
+from math import ceil, floor, gcd, log
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -74,13 +74,26 @@ def in_region_C(n: int, p, q):
     return (2 * p - 1) * (2 * q - 1) <= n ** (2.0 - 1.0 / (2.0 * log(log(n))))
 
 
+def _region_c_count(n: int, x: int, q: np.ndarray) -> int:
+    """np.count_nonzero(in_region_C(n, x, q)) for an ascending q, 0 for
+    n < 16. With B the floor of the bound, the integer (2x - 1)(2q - 1) is
+    at most the bound iff 2q - 1 <= B // (2x - 1), or q <= (B // (2x - 1)
+    + 1) // 2: region C is a prefix of the block, counted in exact integers."""
+    b = floor(n ** (2.0 - 1.0 / (2.0 * log(log(n))))) if n >= 16 else 0
+    return int(q.searchsorted((b // (2 * x - 1) + 1) // 2, "right"))
+
+
 def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
     """Tally the window pairs of sweep_window(n, eta) into a SurveyRecord
     of Python ints and floats, one half-window block at a time; the pair
-    table is never built, but the kernel's bit rows take about n**2 / 8
-    bytes (0.5 MB at n = 2003, 50 MB at n = 20011). Beyond them a block
-    holds one block-wide temporary, for its p-and-q popcounts, and then the
-    q- and r-rows of its open pairs, half a block of each at most.
+    table is never built, but the kernel's bit columns take about n**2 / 8
+    bytes (0.5 MB at n = 2003, 50 MB at n = 20011). Building them reuses
+    two integer buffers of 2**17 residues, 1 MB together while residues
+    are int32, and a bool buffer. Beyond the columns a block holds one
+    block-wide temporary, for its p-and-q popcounts, and then the q- and
+    r-columns of its open pairs, half a block of each at most. Region C is
+    a prefix length per block, and only the blocks that reach P, none at
+    prime n, take a block-wide remainder for q_div_P.
 
     Both criterion modes are always tallied. With deep_audit=True the
     exceptional residue classes are computed per q and the size of the
@@ -99,15 +112,17 @@ def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
     half, diagonal = np.zeros((2, 5), dtype=np.int64)
     q_div_P = 0
     for x, q, s_count, two_pq, two_of_three in _half_window(n, lo):
-        region_c = in_region_C(n, x, q) if n >= 16 else np.zeros_like(two_pq)
-        flags = (two_pq, two_of_three, s_count >= 5, region_c)
-        half += (q.size, *map(np.count_nonzero, flags))
+        flags = (two_pq, two_of_three, s_count >= 5)
+        in_c = _region_c_count(n, x, q)
+        half += (q.size, *map(np.count_nonzero, flags), in_c)
         if q.size and q[0] == x:
-            diagonal += (1, *[flag[0] for flag in flags])
-        # q_div_P reads the q column, the one column not symmetric in p, q
-        q_div_P += np.count_nonzero(q % p_plus == 0)
-        if x % p_plus == 0:
-            q_div_P += np.count_nonzero(q > x)
+            diagonal += (1, *[flag[0] for flag in flags], in_c > 0)
+        # q_div_P reads the q column, the one column not symmetric in p, q;
+        # a block below P, as every block is at prime n, has no multiple of P
+        if q.size and q[-1] >= p_plus:
+            q_div_P += np.count_nonzero(q % p_plus == 0)
+        if x % p_plus == 0:  # then gcd(x, n) >= P, so (x, x) is not kept
+            q_div_P += q.size
     h_size, ruled_pq, ruled_23, s_ge5, in_c = (2 * half - diagonal).tolist()
     return SurveyRecord(
         n,

@@ -194,12 +194,14 @@ class TestBatchSurvey:
 
     def test_word_rows_match_definition(self):
         # one bit per usable unit; |usable| is phi(n) - 1 or, when 4 | n,
-        # phi(n) - 2, never a multiple of 64 for n >= 5, so every row has a
-        # spare bit; only rows lo .. n - 2*lo are built
-        for n in [*range(5, 80), 85, 128, 255, 256, 1999, 2048, 2113]:
+        # phi(n) - 2, never a multiple of 64 for n >= 5, so every column has
+        # a spare bit; only columns lo .. n - 2*lo are built. lo = n // 3 - 1
+        # puts n - 2*lo below (n - 1) // 2, where no column is mirrored
+        for n in [*range(5, 201), 255, 256, 1999, 2048, 2113]:
             u = np.array(unit_set(n).usable)
-            for lo in (1, _window_lo(n, Fraction(1, 7))):
-                rows = _word_rows(n, lo)
+            los = {1, _window_lo(n, Fraction(1, 7))} | ({n // 3 - 1} if n >= 20 else set())
+            for lo in los:
+                rows = np.ascontiguousarray(_word_rows(n, lo).T)
                 assert rows.shape == (n, -(-u.size // 64)), (n, lo)
                 assert u.size % 64 != 0, n
                 bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
@@ -207,6 +209,9 @@ class TestBatchSurvey:
                 want = ((u * x) % n < (2 * x) % n) & (lo <= x) & (x <= n - 2 * lo)
                 assert np.array_equal(bits[:, : u.size].astype(bool), want), (n, lo)
                 assert not bits[:, u.size :].any(), (n, lo)
+                # at even n, row n/2 is never built; the definition leaves it
+                # empty too, as u * n/2 = n/2 mod n for every odd u
+                assert n % 2 or not bits[n // 2].any(), (n, lo)
 
     def test_word_rows_int64_residues(self):
         # n * n >= 2**31 takes the int64 residue path; lo = n // 3 - 1
@@ -214,10 +219,12 @@ class TestBatchSurvey:
         n = 90001
         lo = n // 3 - 1
         u = np.array(unit_set(n).usable, dtype=np.int64)
-        rows = _word_rows(n, lo)
+        rows = _word_rows(n, lo).T
         assert rows.shape == (n, -(-u.size // 64))
         bits = np.unpackbits(
-            rows[lo - 1 : n - 2 * lo + 2].view(np.uint8), axis=1, bitorder="little"
+            np.ascontiguousarray(rows[lo - 1 : n - 2 * lo + 2]).view(np.uint8),
+            axis=1,
+            bitorder="little",
         )
         x = np.arange(lo - 1, n - 2 * lo + 2)[:, None]
         want = ((u * x) % n < (2 * x) % n) & (lo <= x) & (x <= n - 2 * lo)

@@ -128,6 +128,22 @@ class TestRegionC:
         with pytest.raises(ValueError):
             in_region_C(15, 1, 1)
 
+    def test_block_prefix_is_exact(self):
+        # survey_n counts region C as a prefix of each half-window block
+        # (x, q), q ascending from x to (n - 2x - 1) // 2 with gcd(x, q, n) = 1.
+        # A block depends on n and x alone and a cut eta only drops the
+        # blocks with x < lo, so the blocks at eta 0 hold those at 1/7 and 1/24
+        for n in [*range(16, 1201), 2048, 2310, 20011]:
+            for x in range(1, (n - 1) // 4 + 1):
+                q = np.arange(x, (n - 2 * x - 1) // 2 + 1)
+                q = q[np.gcd(q, np.gcd(x, n)) == 1]
+                want = np.count_nonzero(in_region_C(n, x, q))
+                assert survey._region_c_count(n, x, q) == want, (n, x)
+        # the floor of the bound is met with equality, at the pair (17, 19)
+        # of n = 73 among others; the bound is an integer at no n < 20000
+        assert 33 * 37 == int(73 ** (2.0 - 1.0 / (2.0 * log(log(73)))))
+        assert in_region_C(73, 17, 19) and not in_region_C(73, 17, 20)
+
 
 class TestSurveyN:
     def test_n23(self):
@@ -254,7 +270,7 @@ class TestSurveyN:
     def test_streaming_matches_table(self):
         etas = (0, Fraction(1, 7), Fraction(1, 10))
         cases = [(n, eta) for n in range(5, 301) for eta in etas]
-        cases += [(n, 0) for n in (686, 1000, 1024, 2310)]
+        cases += [(n, 0) for n in (*range(301, 401), 686, 1000, 1024, 1900, 2310)]
         # P = 23 divides some p: q_div_P counts the q column, not q and p alike
         cases += [(2300, Fraction(1, 7))]
         for n, eta in cases:
@@ -263,6 +279,8 @@ class TestSurveyN:
             # Python ints, as in the record's repr, not numpy scalars
             assert all(type(count) is int for count in tally[:6]), (n, eta)
         assert table_tally(2300, Fraction(1, 7))[5] == 3589
+        # P = 19 and 11 lie below n/4, so p and q both take multiples of P
+        assert [table_tally(n)[5] for n in (1900, 2310)] == [16020, 34440]
 
     def test_deep_audit_matches_table(self):
         for n in (60, 97, 250, 300):
@@ -332,6 +350,22 @@ class TestSurveyN:
         finally:
             tracemalloc.stop()
         assert peak <= rows.nbytes + 2 * block
+
+    def test_kernel_transients_fit_two_column_blocks(self):
+        # the bound above with the bit array word-major, (words, n): a block
+        # of (n - 3) // 2 columns takes words * 8 bytes per column, and the
+        # row build's reused buffers (1.2 MB at n = 4001) fit beside it
+        n = 4001
+        cols = _word_rows(n, 1)
+        block = (n - 3) // 2 * cols.shape[0] * cols.itemsize
+        survey_n(n)  # fills the unit and factor caches
+        tracemalloc.start()
+        try:
+            survey_n(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cols.nbytes + 2 * block
 
 
 class TestSurveyRange:
