@@ -176,14 +176,25 @@ class _UnitMasses(Mapping):
         return len(self._values)
 
 
+@lru_cache(maxsize=16)
+def _folded_weights(n: int) -> tuple[np.ndarray, np.float64]:
+    """exceptional_set's weights W, read-only, and |W|_2: one fold per n."""
+    prof = factor_profile(n)
+    d = prof.largest_prime ** prof.valuation(prof.largest_prime)
+    k = np.arange(1, n, dtype=np.int64)
+    weights = np.bincount(k % d, 1.0 / (2.0 * np.minimum(k, n - k)), d)
+    weights.flags.writeable = False
+    return weights, np.linalg.norm(weights)
+
+
 def exceptional_set(n: int, q: int, R: float) -> ExceptionalSet:
     """The residue classes mod d = P**alpha for p where the weighted Fourier
     mass S(u) of a unit u is more than R times the average-level threshold.
 
     With w(k) = 1/(2 min(k, n-k)) folded by k mod d into W, and class b's
     mass summing |f_hat(l)| of the interval of width 2q-1 over l = b (mod d),
-    S(u) = sum_j W[j] mass[u j mod d]. Requires gcd(q, P) = 1 and
-    2 <= R < inf; ties at the threshold stay out.
+    S(u) = sum_j W[j] mass[u j mod d]; W is the same at every q. Requires
+    gcd(q, P) = 1 and 2 <= R < inf; ties at the threshold stay out.
 
     Certificate first, with no FFT: a unit u permutes the classes mod d, so
     by Cauchy-Schwarz every S(u) <= |W|_2 |mass|_2. Each class sums n/d
@@ -198,19 +209,17 @@ def exceptional_set(n: int, q: int, R: float) -> ExceptionalSet:
         raise ValueError(f"exceptional_set needs n >= 2, got {n}")
     if not 2 <= R < inf:
         raise ValueError(f"R must satisfy 2 <= R < inf, got {R}")
-    prof = factor_profile(n)
-    P = prof.largest_prime
+    P = factor_profile(n).largest_prime
     if q % P == 0:
         raise ValueError(f"q must be coprime to the largest prime factor {P} of {n}")
     mq = 2 * q - 1
     if not 1 <= mq <= n - 1:
         raise ValueError(f"q must satisfy 1 <= 2q-1 <= n-1, got q={q}, n={n}")
-    d = P ** prof.valuation(P)
-    k = np.arange(1, n, dtype=np.int64)
-    weights = np.bincount(k % d, 1.0 / (2.0 * np.minimum(k, n - k)), d)
+    weights, norm = _folded_weights(n)
+    d = weights.size
     s_values = _UnitMasses(n, mq, weights)
     threshold = 7.0 * R * (1.0 + log(n)) ** 2 / d
-    if np.linalg.norm(weights) * sqrt(mq / d) < threshold * (1.0 - 1e-9):
+    if norm * sqrt(mq / d) < threshold * (1.0 - 1e-9):
         return ExceptionalSet(d, frozenset(), s_values)
     members = frozenset((-q * u) % d for u, s in s_values.items() if s > threshold)
     return ExceptionalSet(d, members, s_values)

@@ -9,7 +9,6 @@ of survivors can be tabulated and plotted downstream.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from math import ceil, floor, gcd, log
@@ -95,10 +94,10 @@ def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
     a prefix length per block, and only the blocks that reach P, none at
     prime n, take a block-wide remainder for q_div_P.
 
-    Both criterion modes are always tallied. With deep_audit=True the
-    exceptional residue classes are computed per q and the size of the
-    excluded pair region rides along as e_n. The audit's R is fixed at
-    ceil(log n) and is not a parameter.
+    Both criterion modes are always tallied. With deep_audit=True the size
+    of the excluded pair region rides along as e_n: the q_div_P pairs with
+    P | p, by symmetry, plus the p in each q's exceptional classes. The
+    audit's R is fixed at ceil(log n) and is not a parameter.
     For n < 16 the region-C count is reported as 0 (the defining formula
     has no value there, so the region is treated as empty).
     """
@@ -135,24 +134,27 @@ def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
         in_c,
         int(q_div_P),
         ruled_23 / h_size if h_size else 0.0,
-        _exceptional_pairs(n, lo) if deep_audit else None,
+        _exceptional_pairs(n, lo, int(q_div_P)) if deep_audit else None,
     )
 
 
-def _exceptional_pairs(n: int, lo: int) -> int:
-    """Size of the exceptional pair region among the window pairs (p, q)
-    with p, q >= lo: those with gcd(q, P) = 1 whose p the exceptional set of
-    q at R = ceil(log n) excludes; R is at least 2 because n >= 5. The set
-    depends on q alone, so the pairs are counted one q at a time."""
+def _exceptional_pairs(n: int, lo: int, q_div_P: int) -> int:
+    """Size of the exceptional pair region: the window pairs (p, q) with
+    p, q >= lo and gcd(q, P) = 1 whose p has P | p or p mod d in a member
+    class of q at R = ceil(log n) >= 2. No window pair has P | p and P | q,
+    as gcd(p, q, n) would reach P, so by p <-> q symmetry the P | p pairs
+    number q_div_P; member classes are units mod d, so q adds its p in them."""
     P = factor_profile(n).largest_prime
     R = ceil(log(n))
-    count = 0
+    count = q_div_P
     for q in range(lo, (n - 2 * lo - 1) // 2 + 1):
         if q % P == 0:
             continue
-        p = np.arange(lo, (n - 2 * q - 1) // 2 + 1)
-        p = p[np.gcd(p, gcd(q, n)) == 1]
-        count += int(exceptional_set(n, q, R).excludes(p).sum())
+        exc = exceptional_set(n, q, R)
+        if exc.members:
+            p = np.arange(lo, (n - 2 * q - 1) // 2 + 1)
+            p = p[np.gcd(p, gcd(q, n)) == 1]
+            count += int(np.isin(p % exc.d, list(exc.members)).sum())
     return count
 
 
@@ -196,6 +198,7 @@ def survey_range(
         for n in ns:
             yield job(n)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool loads it
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             yield from pool.map(job, ns)
 

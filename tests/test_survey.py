@@ -1,6 +1,10 @@
 """Unit tests for the survey statistics and CSV emission."""
 
+import concurrent.futures
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import ceil, log
@@ -8,6 +12,7 @@ from math import ceil, log
 import numpy as np
 import pytest
 
+import trisieve
 from trisieve import fourier, survey
 from trisieve.arith import factor_profile, is_prime, unit_set
 from trisieve.criterion import _word_rows, sweep_window
@@ -263,6 +268,35 @@ class TestSurveyN:
             survey_n(n, deep_audit=True)
         assert seen == {(60, 5), (97, 5), (300, 6)}
 
+    def test_deep_audit_is_q_div_P(self):
+        # every real exceptional set is empty at these n, so the audit
+        # excludes exactly the P | p pairs, which by p <-> q symmetry number
+        # q_div_P; the table counts P | p itself at the composites
+        big = (547, 1009, 1900, 2002, 2048, 2310, 4001)
+        for eta in (0, Fraction(1, 7)):
+            for n in (*range(5, 401), *big):
+                rec = survey_n(n, eta, deep_audit=True)
+                assert rec.e_n == rec.q_div_P, (n, eta)
+                assert type(rec.e_n) is int
+        for n, eta in ((60, 0), (300, Fraction(1, 7)), (1900, 0), (2310, 0)):
+            table = sweep_window(n, eta)
+            P = factor_profile(n).largest_prime
+            multiples = np.count_nonzero(table["p"] % P == 0)
+            assert multiples == survey_n(n, eta).q_div_P > 0, (n, eta)
+
+    def test_deep_audit_folds_weights_once_per_n(self):
+        fourier._folded_weights.cache_clear()
+        survey_n(300, deep_audit=True)
+        info = fourier._folded_weights.cache_info()
+        assert info.misses == 1 and info.hits > 100
+        survey_n(97, deep_audit=True)
+        assert fourier._folded_weights.cache_info().misses == 2
+        weights, norm = fourier._folded_weights(300)
+        assert weights.size == 25 and norm == np.linalg.norm(weights)
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
+
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             survey_n(4)
@@ -335,26 +369,12 @@ class TestSurveyN:
             tracemalloc.stop()
         assert peak < 12 * 2**20
 
-    def test_kernel_transients_fit_two_blocks(self):
-        # beyond the bit rows, the kernel's temporaries stay within two
-        # blocks of (n - 3) // 2 rows, also at x = 1, where every pair is
-        # open and its q- and r-rows are all gathered
-        n = 4001
-        rows = _word_rows(n, 1)
-        block = (n - 3) // 2 * rows.shape[1] * rows.itemsize
-        survey_n(n)  # fills the unit and factor caches
-        tracemalloc.start()
-        try:
-            survey_n(n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= rows.nbytes + 2 * block
-
     def test_kernel_transients_fit_two_column_blocks(self):
-        # the bound above with the bit array word-major, (words, n): a block
-        # of (n - 3) // 2 columns takes words * 8 bytes per column, and the
-        # row build's reused buffers (1.2 MB at n = 4001) fit beside it
+        # beyond the bit columns, the kernel's temporaries stay within two
+        # blocks of (n - 3) // 2 columns, also at x = 1, where every pair is
+        # open and its q- and r-columns are all gathered. The bit array is
+        # word-major, (words, n), so a column takes words * 8 bytes, and
+        # the row build's reused buffers (1.2 MB at n = 4001) fit beside it
         n = 4001
         cols = _word_rows(n, 1)
         block = (n - 3) // 2 * cols.shape[0] * cols.itemsize
@@ -410,7 +430,8 @@ class TestSurveyRange:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(survey, "ProcessPoolExecutor", RecordingPool)
+        # survey_range imports the pool class only when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
 
         def allow(cpus):  # the affinity mask; os may lack sched_getaffinity
             affinity = set(range(cpus))
@@ -432,6 +453,18 @@ class TestSurveyRange:
         monkeypatch.setattr(survey.os, "cpu_count", lambda: None)
         assert len(list(survey_range(5, 40, workers=64))) == 36  # serial, no pool
         assert sizes == [3, 8, 2, 8]
+
+    def test_import_loads_no_process_pool(self):
+        # a serial survey never starts a pool, so importing the package
+        # leaves multiprocessing unloaded
+        src = os.path.dirname(os.path.dirname(trisieve.__file__))
+        code = "import sys, trisieve; print(sorted(m for m in sys.modules if "
+        code += "m.startswith(('concurrent.futures.process', 'multiprocessing'))))"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "[]\n"
 
     def test_eta_threads_through(self):
         plain = list(survey_range(30, 40, eta=0))
