@@ -1,4 +1,4 @@
-"""trisieve: screen rational triangles in the hard obtuse window.
+"""trisieve: screen rational triangles in the obtuse window.
 
 The library implements the usable-unit obstruction for rational
 triangles (angles p/n, q/n, r/n of a straight angle), the counting

@@ -45,7 +45,7 @@ def build_parser() -> _Parser:
     parser = _Parser(
         prog="trisieve",
         description=(
-            "Screen rational triangles in the hard obtuse window with the "
+            "Screen rational triangles in the obtuse window with the "
             "usable-unit obstruction; inspect the spectral split of the "
             "pair count; run density surveys and bound-verification suites."
         ),
@@ -98,7 +98,7 @@ def build_parser() -> _Parser:
     survey.add_argument(
         "--deep-audit",
         action="store_true",
-        help="also count exceptional-class pairs per denominator (slow)",
+        help="also report e_n, the P | p and exceptional-class pairs, on stderr",
     )
     survey.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
 

@@ -112,13 +112,11 @@ def _word_rows(n: int, lo: int) -> np.ndarray:
     cols = np.zeros((-(-u.size // 64), n), dtype=np.uint64)
     block = max(1, (1 << 17) // u.size)
     residues, quotients = np.empty((2, block, u.size), dtype=u.dtype)
-    meets = np.empty((block, u.size), dtype=bool)
-    packed = np.zeros((block, cols.shape[0]), dtype=np.uint64)
+    bits = np.zeros((block, 64 * cols.shape[0]), dtype=bool)  # bits past u.size stay 0
+    meets = bits[:, : u.size]
 
-    def put(columns, bits):
-        words = packed[: bits.shape[0]]
-        words.view(np.uint8)[:, : -(-u.size // 8)] = np.packbits(bits, axis=1, bitorder="little")
-        cols[:, columns] = words.T
+    def put(columns, rows):
+        cols[:, columns] = np.packbits(bits[rows], axis=1, bitorder="little").view(np.uint64).T
 
     top = min((n - 1) // 2, n - 2 * lo)  # columns past n - 2*lo stay empty
     for first in range(lo, top + 1, block):
@@ -126,33 +124,36 @@ def _word_rows(n: int, lo: int) -> np.ndarray:
         r, quot, two_x = residues[: xs.size], quotients[: xs.size], (2 * xs)[:, None]
         np.multiply.outer(xs, u, out=r)
         r -= np.multiply(np.floor_divide(r, n, out=quot), n, out=quot)  # 3x faster than %=
-        put(slice(first, first + xs.size), np.less(r, two_x, out=meets[: xs.size]))
+        np.less(r, two_x, out=meets[: xs.size])
+        put(slice(first, first + xs.size), slice(0, xs.size))
         m = max(0, 2 * lo - first)  # n - x <= n - 2*lo
-        put(n - xs[m:], np.greater(r[m:], two_x[m:], out=meets[m : xs.size]))
+        np.greater(r[m:], two_x[m:], out=meets[m : xs.size])
+        put(n - xs[m:], slice(m, xs.size))
     return cols
 
 
-def _half_window(
-    n: int, lo: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+def _window_p(n: int, q: int, lo: int = 1) -> np.ndarray:
+    """The p >= lo of the window pairs (p, q), ascending: p + q < n/2 and
+    gcd(p, q, n) = 1."""
+    p = np.arange(lo, (n - 2 * q - 1) // 2 + 1)
+    return p[np.gcd(p, gcd(q, n)) == 1]
+
+
+def _half_window(n: int, lo: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """The pair kernel, one block per p = x with lo <= x and 4x < n.
 
-    Yields x and the q, s_count, ruled_two_pq and ruled_two_of_three
-    columns of the window pairs (x, q) with x <= q <= (n - 2x - 1) // 2
-    and gcd(x, q, n) = 1, in ascending q. Every verdict column is symmetric
-    in p and q (r = n - p - q is too), so these blocks decide every window
-    pair. Unit-major: the word-major bit columns are built once, then a
-    block ANDs columns x .. q_hi with column x, popcounts the words and
-    sums them over the word rows, each a contiguous slice; the uint32 hits
-    cannot overflow, as they stay below |usable| < n.
-    A unit meeting p and q already meets two of three, so the r-columns are
-    read only for the open pairs, those with no such unit: one to two
-    percent of them at n near 2000, but every pair of the x = 1 block,
-    since column 1 is empty (no usable u has [u]_n < 2).
-    The columns hold usable units only; the other units add one to S and
-    no verdict: unit 1 meets the p- and q-inequalities ([p]_n = p < 2p),
-    and 1 + n/2, a unit when 4 | n, meets the x-inequality for even x
-    only, which gcd(p, q, n) = 1 forbids for p and q together.
+    Yields x, q, hits and two_of_three for the window pairs (x, q) with
+    x <= q <= (n - 2x - 1) // 2 and gcd(x, q, n) = 1, in ascending q; every
+    verdict is symmetric in p and q, so these blocks decide every window
+    pair. hits (uint32, below |usable| < n) counts the usable units meeting
+    the p- and q-inequalities: a block ANDs columns x .. q_hi with column x
+    and sums the word popcounts over the word rows. The units left out add
+    no verdict: unit 1 meets both inequalities of every pair, so S(p, q) is
+    hits + 1, and 1 + n/2, a unit when 4 | n, meets the x-inequality for
+    even x only, which gcd(x, q, n) = 1 forbids for x and q together.
+    A pair with hits > 0 is ruled out in both modes, so two_of_three reads
+    the r-columns only for the open pairs, hits == 0: one to two percent of
+    them at n near 2000, but the whole x = 1 block, since column 1 is empty.
     """
     cols = _word_rows(n, lo)
     for x in range(lo, (n - 1) // 4 + 1):  # p <= q and p + q < n/2 need 4p < n
@@ -174,26 +175,26 @@ def _half_window(
             ).any(axis=0)
         q = np.arange(x, q_hi + 1)
         keep = slice(None) if gcd(x, n) == 1 else np.gcd(q, gcd(x, n)) == 1
-        yield x, q[keep], hits[keep] + np.int64(1), hits[keep] > 0, two_of_three[keep]
+        yield x, q[keep], hits[keep], two_of_three[keep]
 
 
 def sweep_window(n: int, eta=0) -> np.ndarray:
     """Verdicts for both modes plus S(p, q), for every window pair of n.
 
-    Returns a numpy structured array with fields p, q, s_count,
-    ruled_two_pq and ruled_two_of_three, one row per pair of
-    hard_window_pairs(n, eta) in its lexicographic order: the _half_window
-    rows, plus each row with p < q again with p and q swapped.
+    A numpy structured array with fields p, q, s_count (the kernel's hits
+    plus one), ruled_two_pq (hits > 0) and ruled_two_of_three, one row per
+    pair of hard_window_pairs(n, eta) in its lexicographic order: the
+    _half_window rows, plus each p < q row again with p and q swapped.
     """
     if n < 5:
         raise ValueError(f"sweep_window needs n >= 5, got {n}")
     columns = [("p", "i8"), ("q", "i8"), ("s_count", "i8")]
     columns += [("ruled_two_pq", "?"), ("ruled_two_of_three", "?")]
     blocks = [np.zeros(0, dtype=columns)]  # an eta cut can leave no pair
-    for x, q, s_count, ruled_pq, ruled_23 in _half_window(n, _window_lo(n, eta)):
+    for x, q, hits, two_of_three in _half_window(n, _window_lo(n, eta)):
         block = np.zeros(q.size, dtype=columns)
-        block["p"], block["q"], block["s_count"] = x, q, s_count
-        block["ruled_two_pq"], block["ruled_two_of_three"] = ruled_pq, ruled_23
+        block["p"], block["q"], block["s_count"] = x, q, hits + 1
+        block["ruled_two_pq"], block["ruled_two_of_three"] = hits > 0, two_of_three
         blocks.append(block)
     half = np.concatenate(blocks)
     upper = half["p"] < half["q"]

@@ -17,12 +17,12 @@ import cmath
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, inf, log, pi, sqrt
+from math import inf, log, pi, sqrt
 
 import numpy as np
 
 from .arith import factor_profile, ramanujan, unit_set
-from .criterion import count_S
+from .criterion import _window_p, count_S
 
 
 @dataclass(frozen=True)
@@ -239,8 +239,8 @@ def verify_error_bound(n: int, q: int, R: float) -> BoundCheck:
     exc = exceptional_set(n, q, R)
     prof = factor_profile(n)
     bound = 9.0 * R * prof.totient * (1.0 + log(n)) ** 2 / prof.largest_prime
-    p = np.arange(1, (n - 2 * q - 1) // 2 + 1)
-    p = p[(np.gcd(p, gcd(q, n)) == 1) & ~exc.excludes(p)].tolist()
+    p = _window_p(n, q)
+    p = p[~exc.excludes(p)].tolist()
     ratios = [abs(count_S(x, q, n) - main_term(x, q, n)) / bound for x in p]
     max_ratio = max(ratios, default=0.0)
     return BoundCheck(len(ratios), max_ratio, max_ratio <= 1.0, exc)

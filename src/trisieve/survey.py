@@ -11,13 +11,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
-from math import ceil, floor, gcd, log
+from math import ceil, floor, log
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 from .arith import factor_profile, is_prime
-from .criterion import _half_window
+from .criterion import _half_window, _window_p
 from .criterion import sweep_window  # noqa: F401  unused; perfbench/spans.py rebinds it
 from .fourier import exceptional_set
 from .triangle import _window_lo
@@ -84,15 +84,12 @@ def _region_c_count(n: int, x: int, q: np.ndarray) -> int:
 
 def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
     """Tally the window pairs of sweep_window(n, eta) into a SurveyRecord
-    of Python ints and floats, one half-window block at a time; the pair
+    of Python ints and floats, one half-window block at a time: the pair
     table is never built, but the kernel's bit columns take about n**2 / 8
-    bytes (0.5 MB at n = 2003, 50 MB at n = 20011). Building them reuses
-    two integer buffers of 2**17 residues, 1 MB together while residues
-    are int32, and a bool buffer. Beyond the columns a block holds one
-    block-wide temporary, for its p-and-q popcounts, and then the q- and
-    r-columns of its open pairs, half a block of each at most. Region C is
-    a prefix length per block, and only the blocks that reach P, none at
-    prime n, take a block-wide remainder for q_div_P.
+    bytes (0.5 MB at n = 2003, 50 MB at n = 20011). A block reads the
+    kernel's hits (ruled_two_pq is hits > 0, s_ge5 is hits >= 4) and
+    two_of_three, and region C as a prefix length. q_div_P is counted once
+    per n, over the q that P divides; at prime n there is none.
 
     Both criterion modes are always tallied. With deep_audit=True the size
     of the excluded pair region rides along as e_n: the q_div_P pairs with
@@ -105,24 +102,18 @@ def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
         raise ValueError(f"survey_n needs n >= 5, got {n}")
     lo = _window_lo(n, eta)
     p_plus = factor_profile(n).largest_prime
-    # h_size, ruled_pq, ruled_23, s_ge5 and in_C over the half window and
-    # over its diagonal pairs (x, x): a pair x < q is two table rows, (x, q)
-    # and (q, x), so each total is twice the first count less the second
-    half, diagonal = np.zeros((2, 5), dtype=np.int64)
-    q_div_P = 0
-    for x, q, s_count, two_pq, two_of_three in _half_window(n, lo):
-        flags = (two_pq, two_of_three, s_count >= 5)
-        in_c = _region_c_count(n, x, q)
-        half += (q.size, *map(np.count_nonzero, flags), in_c)
-        if q.size and q[0] == x:
-            diagonal += (1, *[flag[0] for flag in flags], in_c > 0)
-        # q_div_P reads the q column, the one column not symmetric in p, q;
-        # a block below P, as every block is at prime n, has no multiple of P
-        if q.size and q[-1] >= p_plus:
-            q_div_P += np.count_nonzero(q % p_plus == 0)
-        if x % p_plus == 0:  # then gcd(x, n) >= P, so (x, x) is not kept
-            q_div_P += q.size
-    h_size, ruled_pq, ruled_23, s_ge5, in_c = (2 * half - diagonal).tolist()
+    # h_size, ruled_pq, ruled_23, s_ge5 and in_C: a pair x < q is two table
+    # rows, (x, q) and (q, x); a diagonal pair (x, x), first in its block, is one
+    totals = [0] * 5
+    for x, q, hits, two_of_three in _half_window(n, lo):
+        flags = (hits > 0, two_of_three, hits >= 4)
+        block = (q.size, *map(np.count_nonzero, flags), _region_c_count(n, x, q))
+        diagonal = (1, *(f[0] for f in flags), block[4] > 0) if q.size and q[0] == x else (0,) * 5
+        totals = [t + 2 * int(b) - int(d) for t, b, d in zip(totals, block, diagonal)]
+    h_size, ruled_pq, ruled_23, s_ge5, in_c = totals
+    first = -(-lo // p_plus) * p_plus  # the least multiple of P at or above lo
+    q_range = range(first, (n - 2 * lo - 1) // 2 + 1, p_plus)
+    q_div_P = sum(_window_p(n, q, lo).size for q in q_range)
     return SurveyRecord(
         n,
         p_plus,
@@ -132,9 +123,9 @@ def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
         ruled_23,
         s_ge5,
         in_c,
-        int(q_div_P),
+        q_div_P,
         ruled_23 / h_size if h_size else 0.0,
-        _exceptional_pairs(n, lo, int(q_div_P)) if deep_audit else None,
+        _exceptional_pairs(n, lo, q_div_P) if deep_audit else None,
     )
 
 
@@ -152,8 +143,7 @@ def _exceptional_pairs(n: int, lo: int, q_div_P: int) -> int:
             continue
         exc = exceptional_set(n, q, R)
         if exc.members:
-            p = np.arange(lo, (n - 2 * q - 1) // 2 + 1)
-            p = p[np.gcd(p, gcd(q, n)) == 1]
+            p = _window_p(n, q, lo)
             count += int(np.isin(p % exc.d, list(exc.members)).sum())
     return count
 

@@ -234,15 +234,16 @@ class TestBatchSurvey:
     def test_kernel_columns_are_int64(self):
         # in_region_C needs exact int64 products up to (2n)**2
         for n in (23, 60, 2003):
-            for x, q, s_count, _, _ in _half_window(n, 1):
-                assert q.dtype == s_count.dtype == np.int64, (n, x)
+            for x, q, _, _ in _half_window(n, 1):
+                assert q.dtype == np.int64, (n, x)
 
     def test_open_pairs_match_pointwise(self):
         # the kernel reads r-rows only for pairs no usable unit rules out by
         # p and q (ruled_two_pq false); that is every pair of the x = 1
         # block, row 1 being empty, so check each such pair against find_witness
         for n in (2003, 2310, 2048):
-            for x, q, _, two_pq, two_of_three in _half_window(n, 1):
+            for x, q, hits, two_of_three in _half_window(n, 1):
+                two_pq = hits > 0
                 assert x > 1 or not two_pq.any(), n
                 open_pairs = zip(q[~two_pq].tolist(), two_of_three[~two_pq].tolist())
                 for q_, ruled in open_pairs:

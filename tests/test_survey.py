@@ -305,8 +305,9 @@ class TestSurveyN:
         etas = (0, Fraction(1, 7), Fraction(1, 10))
         cases = [(n, eta) for n in range(5, 301) for eta in etas]
         cases += [(n, 0) for n in (*range(301, 401), 686, 1000, 1024, 1900, 2310)]
-        # P = 23 divides some p: q_div_P counts the q column, not q and p alike
-        cases += [(2300, Fraction(1, 7))]
+        # P = 23 divides some p: q_div_P counts the q column, not q and p alike;
+        # below, P < lo, so the multiples of P start above lo, rounded up
+        cases += [(n, Fraction(1, 7)) for n in (2300, 1900, 2310, 2048)]
         for n, eta in cases:
             tally = record_tally(survey_n(n, eta))
             assert tally == table_tally(n, eta), (n, eta)

@@ -73,6 +73,10 @@ class TestHardWindowPairs:
             for p, q in pairs:
                 r = n - p - q
                 assert 2 * r > n  # obtuse
+        # every obtuse pair, not only the hard window's 3r <= 2n
+        pairs = hard_window_pairs(101)
+        hard = [classify(normalize(p, q, 101 - p - q)).hard_window for p, q in pairs]
+        assert (len(hard), sum(hard)) == (1225, 697)
 
     def test_eta_rejections(self):
         with pytest.raises(ValueError):
