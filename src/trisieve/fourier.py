@@ -17,7 +17,7 @@ import cmath
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import inf, log, pi, sqrt
+from math import inf, log, pi
 
 import numpy as np
 
@@ -154,17 +154,18 @@ class _UnitMasses(Mapping):
     """S(u) = W @ mass[u*j mod d] over j = 0 .. d-1 for every unit u mod d,
     read-only. W holds the weights folded by k mod d (d = W.size), and
     mass[b] sums |f_hat(l)| of the interval {1..m} over l = b (mod d). The
-    FFT, the fold and the sums run once, on the first read."""
+    fold, the FFT and the sums run once, on the first read."""
 
-    def __init__(self, n: int, m: int, weights: np.ndarray):
-        self._n, self._m, self._weights = n, m, weights
+    def __init__(self, n: int, m: int):
+        self._n, self._m = n, m
 
     @cached_property
     def _values(self) -> dict[int, float]:
-        d = self._weights.size
+        weights = _folded_weights(self._n)
+        d = weights.size
         mass = np.abs(_interval_hats(self._n, self._m)).reshape(-1, d).sum(axis=0)
         j = np.arange(d, dtype=np.int64)
-        return {u: float(self._weights @ mass[u * j % d]) for u in unit_set(d).members}
+        return {u: float(weights @ mass[u * j % d]) for u in unit_set(d).members}
 
     def __getitem__(self, u: int) -> float:
         return self._values[u]
@@ -176,15 +177,24 @@ class _UnitMasses(Mapping):
         return len(self._values)
 
 
-@lru_cache(maxsize=16)
-def _folded_weights(n: int) -> tuple[np.ndarray, np.float64]:
-    """exceptional_set's weights W, read-only, and |W|_2: one fold per n."""
+def _folded_weights(n: int) -> np.ndarray:
+    """exceptional_set's weights W: w(k) = 1/(2 min(k, n-k)) folded by k mod d."""
     prof = factor_profile(n)
     d = prof.largest_prime ** prof.valuation(prof.largest_prime)
     k = np.arange(1, n, dtype=np.int64)
-    weights = np.bincount(k % d, 1.0 / (2.0 * np.minimum(k, n - k)), d)
-    weights.flags.writeable = False
-    return weights, np.linalg.norm(weights)
+    return np.bincount(k % d, 1.0 / (2.0 * np.minimum(k, n - k)), d)
+
+
+def _threshold(n: int, R: float, d: int) -> float:
+    """7 R (1 + log n)^2 / d: a unit mod d whose mass exceeds it is exceptional."""
+    return 7.0 * R * (1.0 + log(n)) ** 2 / d
+
+
+def _certified(n: int, q, R: float):
+    """|W|_2 sqrt((2q-1)/d) < threshold * (1 - 1e-9), elementwise over int64 q."""
+    weights = _folded_weights(n)
+    d = weights.size
+    return np.linalg.norm(weights) * np.sqrt((2 * q - 1) / d) < _threshold(n, R, d) * (1.0 - 1e-9)
 
 
 def exceptional_set(n: int, q: int, R: float) -> ExceptionalSet:
@@ -200,10 +210,10 @@ def exceptional_set(n: int, q: int, R: float) -> ExceptionalSet:
     by Cauchy-Schwarz every S(u) <= |W|_2 |mass|_2. Each class sums n/d
     coefficients, so by Cauchy-Schwarz again and Parseval
     |mass|_2^2 <= (n/d) sum_l |f_hat(l)|^2 = (2q-1)/d, with equality when
-    d = n. Where |W|_2 sqrt((2q-1)/d) is below threshold * (1 - 1e-9),
-    members is empty; it clears every q up to about n = 4000. Elsewhere
-    members come from the S(u) themselves. s_values holds S(u) for every
-    unit either way, summed on first read.
+    d = n. Where _certified holds, members is empty: at every q of every
+    n below 6689 (the first q left open is 3340 at n = 6689, 3291 at 6859).
+    Elsewhere members come from the S(u). s_values holds every S(u) either
+    way, folded and summed on first read.
     """
     if n < 2:
         raise ValueError(f"exceptional_set needs n >= 2, got {n}")
@@ -215,12 +225,11 @@ def exceptional_set(n: int, q: int, R: float) -> ExceptionalSet:
     mq = 2 * q - 1
     if not 1 <= mq <= n - 1:
         raise ValueError(f"q must satisfy 1 <= 2q-1 <= n-1, got q={q}, n={n}")
-    weights, norm = _folded_weights(n)
-    d = weights.size
-    s_values = _UnitMasses(n, mq, weights)
-    threshold = 7.0 * R * (1.0 + log(n)) ** 2 / d
-    if norm * sqrt(mq / d) < threshold * (1.0 - 1e-9):
+    d = P ** factor_profile(n).valuation(P)
+    s_values = _UnitMasses(n, mq)
+    if _certified(n, q, R):
         return ExceptionalSet(d, frozenset(), s_values)
+    threshold = _threshold(n, R, d)
     members = frozenset((-q * u) % d for u, s in s_values.items() if s > threshold)
     return ExceptionalSet(d, members, s_values)
 

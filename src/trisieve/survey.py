@@ -19,7 +19,7 @@ import numpy as np
 from .arith import factor_profile, is_prime
 from .criterion import _half_window, _window_p
 from .criterion import sweep_window  # noqa: F401  unused; perfbench/spans.py rebinds it
-from .fourier import exceptional_set
+from .fourier import _certified, exceptional_set
 from .triangle import _window_lo
 
 CSV_HEADER = (
@@ -88,8 +88,8 @@ def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
     table is never built, but the kernel's bit columns take about n**2 / 8
     bytes (0.5 MB at n = 2003, 50 MB at n = 20011). A block reads the
     kernel's hits (ruled_two_pq is hits > 0, s_ge5 is hits >= 4) and
-    two_of_three, and region C as a prefix length. q_div_P is counted once
-    per n, over the q that P divides; at prime n there is none.
+    two_of_three, and region C as a prefix length. q_div_P, over the q that
+    P divides (none at prime n), takes one prefix count per gcd(q, n) class.
 
     Both criterion modes are always tallied. With deep_audit=True the size
     of the excluded pair region rides along as e_n: the q_div_P pairs with
@@ -112,8 +112,12 @@ def survey_n(n: int, eta=0, deep_audit: bool = False) -> SurveyRecord:
         totals = [t + 2 * int(b) - int(d) for t, b, d in zip(totals, block, diagonal)]
     h_size, ruled_pq, ruled_23, s_ge5, in_c = totals
     first = -(-lo // p_plus) * p_plus  # the least multiple of P at or above lo
-    q_range = range(first, (n - 2 * lo - 1) // 2 + 1, p_plus)
-    q_div_P = sum(_window_p(n, q, lo).size for q in q_range)
+    q = np.arange(first, (n - 2 * lo - 1) // 2 + 1, p_plus)
+    hi, g = (n - 2 * q - 1) // 2, np.gcd(q, n)
+    q_div_P = 0
+    for h in set(g.tolist()):  # np.unique would import numpy.ma
+        coprime = np.cumsum(np.gcd(np.arange(lo, hi.max() + 1), h) == 1)
+        q_div_P += int(coprime[hi[g == h] - lo].sum())
     return SurveyRecord(
         n,
         p_plus,
@@ -138,13 +142,11 @@ def _exceptional_pairs(n: int, lo: int, q_div_P: int) -> int:
     P = factor_profile(n).largest_prime
     R = ceil(log(n))
     count = q_div_P
-    for q in range(lo, (n - 2 * lo - 1) // 2 + 1):
-        if q % P == 0:
-            continue
+    qs = np.arange(lo, (n - 2 * lo - 1) // 2 + 1)
+    for q in qs[(qs % P != 0) & ~_certified(n, qs, R)].tolist():
         exc = exceptional_set(n, q, R)
-        if exc.members:
-            p = _window_p(n, q, lo)
-            count += int(np.isin(p % exc.d, list(exc.members)).sum())
+        p = _window_p(n, q, lo)
+        count += int(np.isin(p % exc.d, list(exc.members)).sum())
     return count
 
 

@@ -3,7 +3,7 @@
 import cmath
 import random
 import tracemalloc
-from math import gcd, log, pi
+from math import ceil, gcd, log, pi
 
 import numpy as np
 import pytest
@@ -22,6 +22,23 @@ from trisieve.fourier import (
     verify_error_bound,
 )
 from trisieve.triangle import hard_window_pairs
+
+
+def unit_masses(n):
+    """Every S(u) of exceptional_set, row q - 1 for q = 1 .. n // 2 and one
+    column per unit u mod d, ascending: the class masses of every q from one
+    batch FFT, times W placed by the permutation j -> u j mod d."""
+    prof = factor_profile(n)
+    d = prof.largest_prime ** prof.valuation(prof.largest_prime)
+    x, widths = np.arange(n), 2 * np.arange(1, n // 2 + 1) - 1
+    hats = np.fft.fft((x >= 1) & (x <= widths[:, None]), axis=1) / n
+    mass = np.abs(hats).reshape(widths.size, -1, d).sum(axis=1)
+    k = np.arange(1, n)
+    weights = np.bincount(k % d, 1 / (2 * np.minimum(k, n - k)), d)
+    units = np.array([u for u in range(1, d) if gcd(u, d) == 1])
+    placed = np.zeros((d, units.size))
+    placed[np.outer(np.arange(d), units) % d, np.arange(units.size)] = weights[:, None]
+    return mass @ placed
 
 
 class TestIntervalHat:
@@ -303,6 +320,37 @@ class TestExceptionalSet:
             (-q * u) % exc.d for u, s in exc.s_values.items() if s > threshold
         }
         assert exc.members == frozenset(expected)
+
+    def test_certificate_leaves_no_member(self):
+        # where the certificate holds, no S(u) exceeds the threshold, so the
+        # S(u) would leave members empty too; the S(u) of every q come from
+        # unit_masses, pinned to s_values at one q per n
+        for n in range(5, 401):
+            prof = factor_profile(n)
+            d = prof.largest_prime ** prof.valuation(prof.largest_prime)
+            q = np.arange(1, n // 2 + 1)
+            masses = unit_masses(n)
+            top = max(x for x in q.tolist() if x % prof.largest_prime)
+            s_values = exceptional_set(n, top, 2.0).s_values
+            units = sorted(s_values)
+            assert masses[top - 1] == pytest.approx([s_values[u] for u in units], rel=1e-9)
+            for R in (2, ceil(log(n))):
+                certified = fourier._certified(n, q, R)
+                assert np.all(masses[certified].max(axis=1) <= 7 * R * (1 + log(n)) ** 2 / d)
+                assert certified.tolist() == [fourier._certified(n, x, R) for x in q.tolist()]
+
+    def test_certificate_first_leaves_q_open_at_6689(self):
+        # at the audit's R = ceil(log n) and q, the certificate settles every q
+        # of every n below 6689 (a scan of 5..6688 finds none open; 6679 is the
+        # prime before 6689) and leaves 4 open at 6689, 131 at 6859 = 19**3
+        for n, count, first in ((6679, 0, None), (6689, 4, 3340), (6859, 131, 3291)):
+            P, R = factor_profile(n).largest_prime, ceil(log(n))
+            q = np.arange(1, (n - 3) // 2 + 1)
+            q = q[q % P != 0]
+            certified = fourier._certified(n, q, R)
+            open_q = q[~certified].tolist()
+            assert (len(open_q), min(open_q, default=None)) == (count, first), n
+            assert certified.tolist() == [fourier._certified(n, x, R) for x in q.tolist()]
 
 
 class TestErrorBoundVerification:

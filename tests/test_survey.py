@@ -15,7 +15,7 @@ import pytest
 import trisieve
 from trisieve import fourier, survey
 from trisieve.arith import factor_profile, is_prime, unit_set
-from trisieve.criterion import _word_rows, sweep_window
+from trisieve.criterion import _window_p, _word_rows, sweep_window
 from trisieve.fourier import ExceptionalSet, exceptional_set
 from trisieve.survey import (
     CSV_HEADER,
@@ -26,7 +26,7 @@ from trisieve.survey import (
     survey_range,
     write_csv,
 )
-from trisieve.triangle import FAMILY_NONE, classify, normalize
+from trisieve.triangle import FAMILY_NONE, _window_lo, classify, normalize
 
 
 def row_of(table, p, q):
@@ -255,15 +255,16 @@ class TestSurveyN:
             assert bool(summed) == opened, c
 
     def test_deep_audit_r_is_ceil_log_n(self, monkeypatch):
-        # e_n does not move with R at desk scale, so pin R at the call
+        # e_n does not move with R at desk scale, so pin R where it reaches
+        # the certificate, which settles every q at these n
         seen = set()
-        real = survey.exceptional_set
+        real = survey._certified
 
         def recording(n, q, R):
             seen.add((n, R))
             return real(n, q, R)
 
-        monkeypatch.setattr(survey, "exceptional_set", recording)
+        monkeypatch.setattr(survey, "_certified", recording)
         for n in (60, 97, 300):
             survey_n(n, deep_audit=True)
         assert seen == {(60, 5), (97, 5), (300, 6)}
@@ -284,18 +285,26 @@ class TestSurveyN:
             multiples = np.count_nonzero(table["p"] % P == 0)
             assert multiples == survey_n(n, eta).q_div_P > 0, (n, eta)
 
-    def test_deep_audit_folds_weights_once_per_n(self):
-        fourier._folded_weights.cache_clear()
+    def test_deep_audit_folds_weights_once_per_n(self, monkeypatch):
+        # the certificate runs once over every q of n, so W is folded once
+        folds = []
+        real = fourier._folded_weights
+        monkeypatch.setattr(fourier, "_folded_weights", lambda n: folds.append(n) or real(n))
         survey_n(300, deep_audit=True)
-        info = fourier._folded_weights.cache_info()
-        assert info.misses == 1 and info.hits > 100
-        survey_n(97, deep_audit=True)
-        assert fourier._folded_weights.cache_info().misses == 2
-        weights, norm = fourier._folded_weights(300)
-        assert weights.size == 25 and norm == np.linalg.norm(weights)
-        assert not weights.flags.writeable
-        with pytest.raises(ValueError):
-            weights[0] = 1.0
+        assert folds == [300]
+        survey_n(97, Fraction(1, 7), deep_audit=True)
+        assert folds == [300, 97]
+        assert real(300).size == 25
+
+    def test_q_div_P_is_window_p_over_multiples_of_P(self, monkeypatch):
+        # with no kernel blocks, survey_n counts only q_div_P, so n = 30030 is cheap
+        monkeypatch.setattr(survey, "_half_window", lambda n, lo: iter(()))
+        for eta in (0, Fraction(1, 7)):
+            for n in (*range(5, 601), 2048, 2310, 4096, 30030):
+                lo, P = _window_lo(n, eta), factor_profile(n).largest_prime
+                multiples = [q for q in range(lo, (n - 2 * lo - 1) // 2 + 1) if q % P == 0]
+                expected = sum(_window_p(n, q, lo).size for q in multiples)
+                assert survey_n(n, eta).q_div_P == expected, (n, eta)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -327,11 +336,22 @@ class TestSurveyN:
         real = {case: survey_n(*case, deep_audit=True).e_n for case in cases}
         cut = [real[n, Fraction(1, 7)] for n in (60, 97, 250, 256, 300)]
         assert cut == [9, 0, 160, 378, 228]
-        monkeypatch.setattr(survey, "exceptional_set", fake_exceptional_set)
-        for case in cases:
-            e_n = survey_n(*case, deep_audit=True).e_n
-            assert e_n == table_e_n(*case, fake_classes), case
-            assert e_n != real[case], case
+        # the certificate settles every q here, so leave every q open to it
+        asked = []
+
+        def asking(n, q, R):
+            asked.append(q)
+            return fake_exceptional_set(n, q, R)
+
+        monkeypatch.setattr(survey, "_certified", lambda n, q, R: np.zeros(q.shape, bool))
+        monkeypatch.setattr(survey, "exceptional_set", asking)
+        for n, eta in cases:
+            asked.clear()
+            e_n = survey_n(n, eta, deep_audit=True).e_n
+            assert e_n == table_e_n(n, eta, fake_classes), (n, eta)
+            assert e_n != real[n, eta], (n, eta)
+            lo, P = _window_lo(n, eta), factor_profile(n).largest_prime
+            assert asked == [q for q in range(lo, (n - 2 * lo - 1) // 2 + 1) if q % P], (n, eta)
 
     def test_deep_audit_lowered_threshold(self, monkeypatch):
         # the real sets are empty here, so lower the threshold through log:
@@ -461,6 +481,25 @@ class TestSurveyRange:
         src = os.path.dirname(os.path.dirname(trisieve.__file__))
         code = "import sys, trisieve; print(sorted(m for m in sys.modules if "
         code += "m.startswith(('concurrent.futures.process', 'multiprocessing'))))"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "[]\n"
+
+    def test_survey_loads_no_module(self):
+        # the survey path imports nothing past import trisieve; np.unique,
+        # for one, loads numpy.ma on its first call (14 ms, 1.2 MB)
+        src = os.path.dirname(os.path.dirname(trisieve.__file__))
+        code = (
+            "import sys, trisieve\n"
+            "from fractions import Fraction\n"
+            "before = set(sys.modules)\n"
+            "trisieve.survey_n(547, deep_audit=True)\n"
+            "trisieve.survey_n(2048, Fraction(1, 7), deep_audit=True)\n"
+            "trisieve.survey_n(2310)\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
